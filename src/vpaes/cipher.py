@@ -13,16 +13,15 @@ block of the image at once and is tested byte-for-byte against the scalar
 composition.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .keystream import key_to_integer, pi_fraction_bytes, required_byte_count
-from .permgen import BLOCK_BITS, WINDOW_BYTES, apply_to_bits, invert
+from .permgen import (
+    BLOCK_BITS, BLOCK_BYTES, WINDOW_BYTES, apply_to_bits, invert)
 
-BLOCK_BYTES = 16
 ROUNDS = 10
 
 SBOX = bytes.fromhex(
@@ -254,67 +253,46 @@ def _decrypt_blocks(state, perms, rks):
     return state ^ rks[0]
 
 
-def _run_blocks(kernel, data, perms, round_keys, threads):
-    blocks = len(data) // BLOCK_BYTES
-    state = np.frombuffer(data, dtype=np.uint8).reshape(blocks, BLOCK_BYTES)
-    rks = [np.frombuffer(k, dtype=np.uint8) for k in round_keys.keys]
-    if threads <= 1 or blocks < 2 * threads:
-        return kernel(state, perms, rks).tobytes()
-    out = np.empty_like(state)
-    step = -(-blocks // threads)
-    spans = [(i, min(i + step, blocks)) for i in range(0, blocks, step)]
-
-    def work(span):
-        lo, hi = span
-        out[lo:hi] = kernel(state[lo:hi], perms[lo:hi], rks)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, spans))
-    return out.tobytes()
-
-
-def _check_aligned(data):
+def _aligned_blocks(data):
     if len(data) % BLOCK_BYTES:
         raise DomainError(
             f"payload length {len(data)} is not a multiple of 16")
+    return len(data) // BLOCK_BYTES
 
 
-def encrypt_payload_with_stream(data, key, stream, *, threads=1):
+def _run_blocks(kernel, data, key, stream):
+    """The payload pipeline: check alignment, derive every block's
+    permutation, expand the key, run the kernel over all blocks at once."""
+    blocks = _aligned_blocks(data)
+    if not blocks:
+        return b""
+    perms = derive_permutation_matrix(stream, blocks)
+    state = np.frombuffer(data, dtype=np.uint8).reshape(blocks, BLOCK_BYTES)
+    rks = [np.frombuffer(k, dtype=np.uint8) for k in expand_key(key).keys]
+    return kernel(state, perms, rks).tobytes()
+
+
+def encrypt_payload_with_stream(data, key, stream):
     """Encrypt an aligned payload using an already-materialised stream."""
-    _check_aligned(data)
-    if not data:
-        return b""
-    blocks = len(data) // BLOCK_BYTES
-    perms = derive_permutation_matrix(stream, blocks)
-    return _run_blocks(_encrypt_blocks, data, perms, expand_key(key), threads)
+    return _run_blocks(_encrypt_blocks, data, key, stream)
 
 
-def decrypt_payload_with_stream(data, key, stream, *, threads=1):
-    _check_aligned(data)
-    if not data:
-        return b""
-    blocks = len(data) // BLOCK_BYTES
-    perms = derive_permutation_matrix(stream, blocks)
-    return _run_blocks(_decrypt_blocks, data, perms, expand_key(key), threads)
+def decrypt_payload_with_stream(data, key, stream):
+    return _run_blocks(_decrypt_blocks, data, key, stream)
 
 
-def _stream_for(key, blocks):
+def _stream_for(key, data):
+    """The keystream prefix an aligned payload reads (one window at least,
+    so the key is checked even for an empty payload)."""
+    blocks = max(_aligned_blocks(data), 1)
     return pi_fraction_bytes(key_to_integer(key), required_byte_count(blocks))
 
 
-def encrypt_payload(data, key, *, threads=1):
+def encrypt_payload(data, key):
     """Encrypt a 16-byte-aligned payload; block j gets the permutation of
     keystream window j. Output length equals input length."""
-    _check_aligned(data)
-    if not data:
-        return b""
-    stream = _stream_for(key, len(data) // BLOCK_BYTES)
-    return encrypt_payload_with_stream(data, key, stream, threads=threads)
+    return encrypt_payload_with_stream(data, key, _stream_for(key, data))
 
 
-def decrypt_payload(data, key, *, threads=1):
-    _check_aligned(data)
-    if not data:
-        return b""
-    stream = _stream_for(key, len(data) // BLOCK_BYTES)
-    return decrypt_payload_with_stream(data, key, stream, threads=threads)
+def decrypt_payload(data, key):
+    return decrypt_payload_with_stream(data, key, _stream_for(key, data))

@@ -8,12 +8,12 @@ Exit codes: 0 ok, 2 bad key, 3 bad image, 4 I/O, 5 bad container,
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
-from dataclasses import dataclass
 
 from . import randstat
-from .cipher import encrypt_payload, decrypt_payload
+from .cipher import BLOCK_BYTES, encrypt_payload, decrypt_payload
 from .errors import (
     ContainerError,
     ImageFormatError,
@@ -37,38 +37,30 @@ from .imageio import (
 from .keystream import Key128, key_to_integer
 
 _KEY_MODULUS = 1 << 128
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: str = None
-    output: str = None
-    key: Key128 = None
-    alpha: float = 0.01
-    samples: int = randstat.DEFAULT_SAMPLES
-    seed: int = 0
-    view: str = None
-    report: str = "text"
-    threads: int = 1
+# The first class an error is an instance of picks the exit code.
+_EXIT_CODES = (
+    (KeyFormatError, 2),
+    (ImageFormatError, 3),
+    (ContainerError, 5),
+    (PreconditionError, 6),
+    (OSError, 4),
+    (VpaesError, 1),
+)
 
 
 def parse_key_hex(text):
-    """16 key bytes from 32 hex characters.
+    """16 key bytes from 32 hex characters and nothing else between them
+    (``bytes.fromhex`` alone would skip embedded spaces).
 
     A 31-character string is accepted as well (left-padded with one zero):
     some published key listings drop the leading zero.
     """
-    t = text.strip().lower()
-    if len(t) == 31:
-        t = "0" + t
-    if len(t) != 32:
+    t = text.strip()
+    if not re.fullmatch(r"[0-9a-fA-F]{31,32}", t):
         raise KeyFormatError(
-            f"key must be 32 hex characters, got {len(text)}")
-    try:
-        data = bytes.fromhex(t)
-    except ValueError:
-        raise KeyFormatError(f"key is not valid hexadecimal: {text!r}") from None
+            f"key must be 32 hex digits and nothing else, got {len(t)} "
+            "characters")
+    data = bytes.fromhex(t.zfill(32))
     if data == bytes(16):
         raise KeyFormatError(
             "the all-zero key is invalid: it degenerates the keystream")
@@ -83,8 +75,8 @@ def _sha256_file(path):
     return digest.hexdigest()
 
 
-def _emit_report(cfg, document):
-    if cfg.report == "json":
+def _emit_report(args, document):
+    if args.report == "json":
         text = json.dumps(document, sort_keys=True, indent=2) + "\n"
     else:
         lines = []
@@ -99,8 +91,8 @@ def _emit_report(cfg, document):
                          f" decision={entry['decision']}")
             lines.append(line)
         text = "\n".join(lines) + "\n"
-    if cfg.output:
-        _atomic_write(cfg.output, text.encode())
+    if args.output:
+        _atomic_write(args.output, text.encode())
     else:
         sys.stdout.write(text)
 
@@ -128,33 +120,33 @@ def _load_plain_or_cipher(path):
     return load_image(path)
 
 
-def cmd_encrypt(cfg):
-    img = load_image(cfg.input)
+def cmd_encrypt(args):
+    img = load_image(args.input)
     padded, pad_len = pad_payload(img.data)
     start = time.perf_counter()
-    ciphertext = encrypt_payload(padded, cfg.key, threads=cfg.threads)
+    ciphertext = encrypt_payload(padded, args.key)
     elapsed = time.perf_counter() - start
     container = CipherContainer(
         img.width, img.height, img.channels, pad_len, ciphertext)
-    write_container(container, cfg.output)
-    if cfg.view:
-        save_cipher_view(container, cfg.view)
-    print(f"blocks={len(padded) // 16} pad_len={pad_len} "
+    write_container(container, args.output)
+    if args.view:
+        save_cipher_view(container, args.view)
+    print(f"blocks={len(padded) // BLOCK_BYTES} pad_len={pad_len} "
           f"elapsed={elapsed:.3f}s")
     return 0
 
 
-def cmd_decrypt(cfg):
-    container = read_container(cfg.input)
-    plain = decrypt_payload(container.payload, cfg.key, threads=cfg.threads)
+def cmd_decrypt(args):
+    container = read_container(args.input)
+    plain = decrypt_payload(container.payload, args.key)
     data = unpad_payload(plain, container.pad_len)
     save_image(ImageBuffer(container.width, container.height,
-                           container.channels, data), cfg.output)
-    print(f"wrote {cfg.output}")
+                           container.channels, data), args.output)
+    print(f"wrote {args.output}")
     return 0
 
 
-def _analysis_results(img, cfg):
+def _analysis_results(img, args):
     results = []
     failed = False
     channels = randstat.channel_names(img.channels)
@@ -178,38 +170,38 @@ def _analysis_results(img, cfg):
                 lambda d=direction, c=ch: randstat.TestReport(
                     f"correlation_{d}", c, randstat.correlation(
                         randstat.sample_adjacent_pairs(
-                            img, d, c, cfg.samples, cfg.seed))))
+                            img, d, c, args.samples, args.seed))))
     for ch in channels:
         run("spectral_dft", ch, lambda c=ch: randstat.spectral_dft_test(
-            randstat.channel_bits(img, c), cfg.alpha, c))
+            randstat.channel_bits(img, c), args.alpha, c))
     for ch in channels:
         run("chi_square_tone", ch, lambda c=ch: randstat.chi_square_tone_test(
-            randstat.tone_histogram(img, c), cfg.alpha))
+            randstat.tone_histogram(img, c), args.alpha))
     return results, failed
 
 
-def cmd_analyze(cfg):
-    img = _load_plain_or_cipher(cfg.input)
-    results, failed = _analysis_results(img, cfg)
-    _emit_report(cfg, {
+def cmd_analyze(args):
+    img = _load_plain_or_cipher(args.input)
+    results, failed = _analysis_results(img, args)
+    _emit_report(args, {
         "command": "analyze",
-        "input": cfg.input,
-        "input_sha256": _sha256_file(cfg.input),
-        "seed": cfg.seed,
-        "alpha": cfg.alpha,
-        "samples": cfg.samples,
+        "input": args.input,
+        "input_sha256": _sha256_file(args.input),
+        "seed": args.seed,
+        "alpha": args.alpha,
+        "samples": args.samples,
         "results": results,
     })
     return 6 if failed else 0
 
 
-def cmd_select_score(cfg):
-    img = load_image(cfg.input)
+def cmd_select_score(args):
+    img = load_image(args.input)
     scores = randstat.plaintext_selection_score(img)
-    _emit_report(cfg, {
+    _emit_report(args, {
         "command": "select-score",
-        "input": cfg.input,
-        "input_sha256": _sha256_file(cfg.input),
+        "input": args.input,
+        "input_sha256": _sha256_file(args.input),
         "results": [
             {"test": "selection_score", "channel": ch, "statistic": value}
             for ch, value in scores.items()
@@ -218,21 +210,21 @@ def cmd_select_score(cfg):
     return 0
 
 
-def cmd_sensitivity(cfg):
-    img = load_image(cfg.input)
+def cmd_sensitivity(args):
+    img = load_image(args.input)
     padded, pad_len = pad_payload(img.data)
-    bumped = (key_to_integer(cfg.key) + 1) % _KEY_MODULUS
+    bumped = (key_to_integer(args.key) + 1) % _KEY_MODULUS
     if bumped == 0:
         raise KeyFormatError(
             "key + 1 wraps to the all-zero key, which is invalid")
     key_next = Key128(bumped.to_bytes(16, "big"))
     containers = [
         CipherContainer(img.width, img.height, img.channels, pad_len,
-                        encrypt_payload(padded, k, threads=cfg.threads))
-        for k in (cfg.key, key_next)
+                        encrypt_payload(padded, k))
+        for k in (args.key, key_next)
     ]
     correlations = randstat.sensitivity_correlation(
-        containers[0], containers[1], cfg.samples, cfg.seed)
+        containers[0], containers[1], args.samples, args.seed)
     results = [
         {"test": "sensitivity_correlation", "channel": ch, "statistic": r}
         for ch, r in correlations.items()
@@ -241,15 +233,23 @@ def cmd_sensitivity(cfg):
         "test": "sensitivity_correlation_max_abs", "channel": "all",
         "statistic": max(abs(r) for r in correlations.values()),
     })
-    _emit_report(cfg, {
+    _emit_report(args, {
         "command": "sensitivity",
-        "input": cfg.input,
-        "input_sha256": _sha256_file(cfg.input),
-        "seed": cfg.seed,
-        "samples": cfg.samples,
+        "input": args.input,
+        "input_sha256": _sha256_file(args.input),
+        "seed": args.seed,
+        "samples": args.samples,
         "results": results,
     })
     return 0
+
+
+def _sample_count(text):
+    """--samples: a correlation needs at least two pixel pairs."""
+    count = int(text)
+    if count < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {count}")
+    return count
 
 
 def _build_parser():
@@ -276,13 +276,13 @@ def _build_parser():
         if stats:
             p.add_argument("--alpha", type=float, default=0.01,
                            choices=[0.01, 0.001])
-            p.add_argument("--samples", type=int, default=3000)
+            p.add_argument("--samples", type=_sample_count,
+                           default=randstat.DEFAULT_SAMPLES)
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--report", choices=["text", "json"], default="text")
         if view:
             p.add_argument("--view", metavar="PATH",
                            help="also write the ciphertext as a P6 image")
-        p.add_argument("--threads", type=int, default=1)
         return p
 
     add("encrypt", cmd_encrypt, key=True, output=True, view=True)
@@ -293,44 +293,16 @@ def _build_parser():
     return parser
 
 
-def _config_from(args):
-    return RunConfig(
-        command=args.command,
-        input=args.input,
-        output=getattr(args, "output", None),
-        key=parse_key_hex(args.key) if getattr(args, "needs_key", False)
-        else None,
-        alpha=getattr(args, "alpha", 0.01),
-        samples=getattr(args, "samples", randstat.DEFAULT_SAMPLES),
-        seed=getattr(args, "seed", 0),
-        view=getattr(args, "view", None),
-        report=getattr(args, "report", "text"),
-        threads=getattr(args, "threads", 1),
-    )
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(_config_from(args))
-    except KeyFormatError as exc:
+        if args.needs_key:
+            args.key = parse_key_hex(args.key)
+        return args.fn(args)
+    except (VpaesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ImageFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ContainerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except VpaesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES
+                    if isinstance(exc, kind))
 
 
 def entrypoint():

@@ -19,6 +19,8 @@ import struct
 import tempfile
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     ContainerHeaderError,
     ContainerLengthError,
@@ -28,6 +30,7 @@ from .errors import (
     ImageFormatError,
     ImageParseError,
 )
+from .permgen import BLOCK_BYTES
 
 MAGIC = b"VPAES"
 VERSION = 1
@@ -69,7 +72,7 @@ class CipherContainer:
         if self.channels not in (1, 3):
             raise ContainerHeaderError(
                 f"channels must be 1 or 3, got {self.channels}")
-        if not 0 <= self.pad_len < 16:
+        if not 0 <= self.pad_len < BLOCK_BYTES:
             raise ContainerHeaderError(
                 f"pad_len must be in [0, 16), got {self.pad_len}")
         if self.width < 1 or self.height < 1:
@@ -80,7 +83,7 @@ class CipherContainer:
             raise ContainerLengthError(
                 f"payload holds {len(self.payload)} bytes, header implies "
                 f"{expected}")
-        if len(self.payload) % 16:
+        if len(self.payload) % BLOCK_BYTES:
             raise ContainerLengthError(
                 f"payload length {len(self.payload)} not a multiple of 16")
 
@@ -195,16 +198,11 @@ def _load_bmp(data):
         raise ImageParseError(
             f"BMP pixel data truncated: need {need} bytes, have {len(data)}",
             offset=len(data))
-    out = bytearray(width * height * 3)
-    for row in range(height):
-        src = pixel_offset + (height - 1 - row) * stride
-        dst = row * width * 3
-        for col in range(width):
-            b, g, r = data[src + 3 * col:src + 3 * col + 3]
-            out[dst + 3 * col] = r
-            out[dst + 3 * col + 1] = g
-            out[dst + 3 * col + 2] = b
-    return ImageBuffer(width, height, 3, bytes(out))
+    rows = np.frombuffer(data, np.uint8, stride * height, pixel_offset)
+    # bottom-up rows -> top-down, drop the stride padding, BGR -> RGB
+    bgr = rows.reshape(height, stride)[::-1, :3 * width]
+    rgb = bgr.reshape(height, width, 3)[..., ::-1]
+    return ImageBuffer(width, height, 3, rgb.tobytes())
 
 
 def load_image(path):
@@ -237,7 +235,7 @@ def pad_payload(data):
     pad_len is the minimal n >= 0 with 8*len(data) + 8n divisible by 128,
     so pad_len < 16 always.
     """
-    pad_len = -len(data) % 16
+    pad_len = -len(data) % BLOCK_BYTES
     return data + b"\x00" * pad_len, pad_len
 
 

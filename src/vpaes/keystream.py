@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
+from .permgen import WINDOW_BYTES
 
 KEY_BYTES = 16
-WINDOW_BYTES = 127
 GUARD_BITS = 64
 
 # |pi * 2^prec - _pi_fixed(prec)| is provably <= 25 (floor error of at most

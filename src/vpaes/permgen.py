@@ -20,7 +20,9 @@ from math import factorial
 from .errors import DomainError
 
 BLOCK_BITS = 128
-WINDOW_BYTES = 127
+BLOCK_BYTES = BLOCK_BITS // 8
+# A 128-position permutation has 127 free digits, one keystream byte each.
+WINDOW_BYTES = BLOCK_BITS - 1
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ def apply_to_bits(p, block):
     """
     if p.m != BLOCK_BITS:
         raise DomainError(f"bit permutation needs m=128, got m={p.m}")
-    if len(block) != 16:
+    if len(block) != BLOCK_BYTES:
         raise DomainError(f"block must hold 16 bytes, got {len(block)}")
     v = int.from_bytes(block, "big")
     out = 0

@@ -273,7 +273,7 @@ def test_criterion_10_performance():
     keystream_elapsed = time.perf_counter() - start
 
     start = time.perf_counter()
-    encrypt_payload_with_stream(padded, REFERENCE_KEY, stream, threads=1)
+    encrypt_payload_with_stream(padded, REFERENCE_KEY, stream)
     encrypt_elapsed = time.perf_counter() - start
 
     check(10, keystream_elapsed <= 30.0 and encrypt_elapsed <= 3.0,

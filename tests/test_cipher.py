@@ -203,14 +203,6 @@ class TestPayload:
             same = base[16 * blk:16 * blk + 16] == changed[16 * blk:16 * blk + 16]
             assert same == (blk != j)
 
-    def test_threads_do_not_change_output(self):
-        rng = random.Random(47)
-        data = bytes(rng.randrange(256) for _ in range(16 * 300))
-        one = encrypt_payload(data, self.KEY, threads=1)
-        four = encrypt_payload(data, self.KEY, threads=4)
-        assert one == four
-        assert decrypt_payload(one, self.KEY, threads=4) == data
-
     def test_deterministic(self):
         data = bytes(range(256))
         assert encrypt_payload(data, self.KEY) == encrypt_payload(

@@ -8,6 +8,8 @@ from vpaes.errors import KeyFormatError
 from vpaes.imageio import load_image, read_container, save_image
 
 KEY = "000102030405060708090a0b0c0d0e0f"
+# 32 characters, but bytes.fromhex would skip the spaces and yield 15 bytes
+SPACED_KEY = "00112233445566778899aabbccdd  ee"
 
 
 def write_ppm(path, img):
@@ -27,7 +29,8 @@ class TestKeyParsing:
     def test_uppercase_ok(self):
         assert parse_key_hex(KEY.upper()).data == bytes(range(16))
 
-    @pytest.mark.parametrize("bad", ["", "00", "zz" * 16, "0" * 33])
+    @pytest.mark.parametrize(
+        "bad", ["", "00", "zz" * 16, "0" * 33, SPACED_KEY])
     def test_bad_keys_rejected(self, bad):
         with pytest.raises(KeyFormatError):
             parse_key_hex(bad)
@@ -86,17 +89,6 @@ class TestEncryptDecrypt:
                      "--key", other]) == 0
         assert load_image(dec) != img
 
-    def test_threads_flag(self, tmp_path):
-        img = random_image(16, 16, 3, seed=5)
-        src = write_ppm(tmp_path / "in.ppm", img)
-        enc1 = str(tmp_path / "a.vpaes")
-        enc4 = str(tmp_path / "b.vpaes")
-        assert main(["encrypt", "--in", src, "--out", enc1, "--key", KEY,
-                     "--threads", "1"]) == 0
-        assert main(["encrypt", "--in", src, "--out", enc4, "--key", KEY,
-                     "--threads", "4"]) == 0
-        assert read_container(enc1) == read_container(enc4)
-
 
 class TestExitCodes:
     def test_bad_key_is_2(self, tmp_path, capsys):
@@ -105,6 +97,26 @@ class TestExitCodes:
         assert main(["encrypt", "--in", src,
                      "--out", str(tmp_path / "o"), "--key", "nothex"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_embedded_whitespace_key_is_2(self, tmp_path):
+        img = random_image(4, 4, 3, seed=6)
+        src = write_ppm(tmp_path / "in.ppm", img)
+        assert main(["encrypt", "--in", src,
+                     "--out", str(tmp_path / "o"), "--key", SPACED_KEY]) == 2
+
+    @pytest.mark.parametrize("command", ["analyze", "sensitivity"])
+    @pytest.mark.parametrize("samples", ["0", "1", "many"])
+    def test_bad_samples_is_a_usage_error(self, tmp_path, capsys,
+                                           command, samples):
+        img = random_image(8, 8, 3, seed=7)
+        src = write_ppm(tmp_path / "in.ppm", img)
+        argv = [command, "--in", src, "--samples", samples]
+        if command == "sensitivity":
+            argv += ["--key", KEY]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
 
     def test_zero_key_is_2(self, tmp_path):
         img = random_image(4, 4, 3, seed=6)

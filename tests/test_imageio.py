@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from conftest import make_bmp_bytes, random_image
@@ -102,6 +104,18 @@ class TestBmpLoad:
             path = tmp_path / f"w{width}.bmp"
             path.write_bytes(make_bmp_bytes(img))
             assert load_image(path) == img
+
+    def test_v5_header_and_trailing_bytes(self, tmp_path):
+        # A 124-byte BITMAPV5HEADER puts the pixels at offset 138, and bytes
+        # after the pixel array (an embedded ICC profile, say) are ignored.
+        img = random_image(7, 5, 3, seed=7)
+        raw = make_bmp_bytes(img)
+        dib = struct.pack("<I", 124) + raw[18:54] + bytes(124 - 40)
+        pixels, trailer = raw[54:], b"trailing profile bytes"
+        header = struct.pack("<2sIHHI", b"BM", 138 + len(pixels), 0, 0, 138)
+        path = tmp_path / "v5.bmp"
+        path.write_bytes(header + dib + pixels + trailer)
+        assert load_image(path) == img
 
     def test_compressed_bmp_rejected(self, tmp_path):
         img = random_image(2, 2, 3, seed=3)
