@@ -9,8 +9,12 @@ Payloads are processed as independent 16-byte blocks (a tweaked-codebook
 arrangement: the permutation is the tweak, derived from the block index via
 the sliding keystream window). ``encrypt_block``/``decrypt_block`` are the
 scalar reference; payload functions run a numpy path that processes every
-block of the image at once and is tested byte-for-byte against the scalar
-composition.
+block of the image at once. That path has one round loop for both
+directions: batch decryption is the equivalent inverse cipher of FIPS-197
+(InvMixColumns applied to the inner round keys), and it undoes the bit
+permutation by scattering through the same permutation matrix. Both
+directions are tested byte-for-byte against the scalar composition and,
+with identity permutations, against AES-128-ECB.
 """
 
 from dataclasses import dataclass
@@ -166,23 +170,27 @@ def decrypt_block(block, perm, round_keys):
 
 _SBOX_NP = np.frombuffer(SBOX, dtype=np.uint8)
 _INV_SBOX_NP = np.frombuffer(INV_SBOX, dtype=np.uint8)
-_G2_NP = np.frombuffer(G2, dtype=np.uint8)
-_G3_NP = np.frombuffer(G3, dtype=np.uint8)
-_G9_NP = np.frombuffer(G9, dtype=np.uint8)
-_G11_NP = np.frombuffer(G11, dtype=np.uint8)
-_G13_NP = np.frombuffer(G13, dtype=np.uint8)
-_G14_NP = np.frombuffer(G14, dtype=np.uint8)
 _SHIFT_NP = np.array(SHIFT_IDX, dtype=np.intp)
 _INV_SHIFT_NP = np.array(INV_SHIFT_IDX, dtype=np.intp)
-_WINDOW_MODS = (BLOCK_BITS - np.arange(WINDOW_BYTES, dtype=np.int16))
+_MUL_TABLES = {c: np.frombuffer(g, dtype=np.uint8) for c, g in (
+    (2, G2), (3, G3), (9, G9), (11, G11), (13, G13), (14, G14))}
+# First rows of the circulant MixColumns and InvMixColumns matrices.
+_MIX_ROW = (2, 3, 1, 1)
+_INV_MIX_ROW = (14, 11, 13, 9)
+# _ROTATE[k][i]: the byte k rows further down byte i's column, cyclically.
+_ROTATE = tuple(
+    np.array([i - i % 4 + (i + k) % 4 for i in range(16)], dtype=np.intp)
+    for k in range(4))
 
 
 def derive_permutation_matrix(stream, blocks):
-    """Per-block permutations as a (blocks, 128) array.
+    """Per-block permutations as a (blocks, 128) uint8 array.
 
     Row j is the selection sequence for the digits of window j; identical to
     running coefficients_from_bytes + permutation_from_coefficients per
-    block, but the selection loop runs across all blocks at once.
+    block. Window j starts at stream byte j, so digit i of every block is
+    raw[i:i+blocks] % (128-i). Each step swaps the selected element into the
+    last live slot, which leaves the selection sequence in reverse order.
     """
     if blocks < 1:
         raise DomainError(f"blocks must be positive, got {blocks}")
@@ -190,67 +198,53 @@ def derive_permutation_matrix(stream, blocks):
         raise DomainError(
             f"stream of {stream.count} bytes cannot serve {blocks} blocks")
     raw = np.frombuffer(stream.data, dtype=np.uint8)
-    wins = np.lib.stride_tricks.sliding_window_view(raw, WINDOW_BYTES)[:blocks]
-    digits = np.empty((blocks, BLOCK_BITS), dtype=np.intp)
-    digits[:, :WINDOW_BYTES] = wins.astype(np.int16) % _WINDOW_MODS
-    digits[:, WINDOW_BYTES] = 0
     arrangement = np.tile(
         np.arange(BLOCK_BITS, dtype=np.uint8), (blocks, 1))
     rows = np.arange(blocks)
-    perms = np.empty((blocks, BLOCK_BITS), dtype=np.uint8)
-    for i in range(BLOCK_BITS):
-        c = digits[:, i]
-        perms[:, i] = arrangement[rows, c]
-        arrangement[rows, c] = arrangement[:, BLOCK_BITS - 1 - i]
-    return perms
+    for i in range(WINDOW_BYTES):
+        c = raw[i:i + blocks] % (BLOCK_BITS - i)
+        last = BLOCK_BITS - 1 - i
+        picked = arrangement[rows, c]
+        arrangement[rows, c] = arrangement[:, last]
+        arrangement[:, last] = picked
+    return arrangement[:, ::-1]
 
 
-def _permute_bits(state, perms):
-    bits = np.unpackbits(state, axis=1)
-    bits = np.take_along_axis(bits, perms, axis=1)
-    return np.packbits(bits, axis=1)
+def _mix(state, row):
+    """(Inv)MixColumns of (n, 16) states as the circulant matrix whose first
+    row is `row`: output byte r of a column is XOR_k row[k]·a[(r+k)%4]."""
+    out = np.zeros_like(state)
+    for k, coeff in enumerate(row):
+        term = state if coeff == 1 else _MUL_TABLES[coeff][state]
+        out ^= term[:, _ROTATE[k]]
+    return out
+
+
+def _rounds(state, rks, sbox, shift, mix_row):
+    """AES rounds 1..10 in one direction: a full round (Sub, Shift, Mix,
+    AddKey) per key in `rks`, then Sub and Shift; the caller adds the outer
+    round keys."""
+    for rk in rks:
+        state = _mix(sbox[state][:, shift], mix_row) ^ rk
+    return sbox[state][:, shift]
 
 
 def _encrypt_blocks(state, perms, rks):
-    n = state.shape[0]
-    state = state ^ rks[0]
-    state = _permute_bits(state, perms)
-    for rnd in range(1, ROUNDS):
-        state = _SBOX_NP[state]
-        state = state[:, _SHIFT_NP]
-        cols = state.reshape(n, 4, 4)
-        a0, a1, a2, a3 = (cols[:, :, i] for i in range(4))
-        mixed = np.empty_like(cols)
-        mixed[:, :, 0] = _G2_NP[a0] ^ _G3_NP[a1] ^ a2 ^ a3
-        mixed[:, :, 1] = a0 ^ _G2_NP[a1] ^ _G3_NP[a2] ^ a3
-        mixed[:, :, 2] = a0 ^ a1 ^ _G2_NP[a2] ^ _G3_NP[a3]
-        mixed[:, :, 3] = _G3_NP[a0] ^ a1 ^ a2 ^ _G2_NP[a3]
-        state = mixed.reshape(n, 16) ^ rks[rnd]
-    state = _SBOX_NP[state]
-    state = state[:, _SHIFT_NP]
-    return state ^ rks[ROUNDS]
+    bits = np.unpackbits(state ^ rks[0], axis=1)
+    state = np.packbits(np.take_along_axis(bits, perms, axis=1), axis=1)
+    return _rounds(state, rks[1:ROUNDS], _SBOX_NP, _SHIFT_NP,
+                   _MIX_ROW) ^ rks[ROUNDS]
 
 
 def _decrypt_blocks(state, perms, rks):
-    n = state.shape[0]
-    state = state ^ rks[ROUNDS]
-    for rnd in range(ROUNDS - 1, 0, -1):
-        state = state[:, _INV_SHIFT_NP]
-        state = _INV_SBOX_NP[state]
-        state = state ^ rks[rnd]
-        cols = state.reshape(n, 4, 4)
-        a0, a1, a2, a3 = (cols[:, :, i] for i in range(4))
-        mixed = np.empty_like(cols)
-        mixed[:, :, 0] = _G14_NP[a0] ^ _G11_NP[a1] ^ _G13_NP[a2] ^ _G9_NP[a3]
-        mixed[:, :, 1] = _G9_NP[a0] ^ _G14_NP[a1] ^ _G11_NP[a2] ^ _G13_NP[a3]
-        mixed[:, :, 2] = _G13_NP[a0] ^ _G9_NP[a1] ^ _G14_NP[a2] ^ _G11_NP[a3]
-        mixed[:, :, 3] = _G11_NP[a0] ^ _G13_NP[a1] ^ _G9_NP[a2] ^ _G14_NP[a3]
-        state = mixed.reshape(n, 16)
-    state = state[:, _INV_SHIFT_NP]
-    state = _INV_SBOX_NP[state]
-    # inverse bit permutation: argsort of a permutation row is its inverse
-    state = _permute_bits(state, np.argsort(perms, axis=1))
-    return state ^ rks[0]
+    # FIPS-197 equivalent inverse cipher: with InvMixColumns applied to
+    # round keys 9..1, decryption runs the same round sequence as encryption.
+    inner = _mix(np.stack(rks[ROUNDS - 1:0:-1]), _INV_MIX_ROW)
+    state = _rounds(state ^ rks[ROUNDS], inner, _INV_SBOX_NP, _INV_SHIFT_NP,
+                    _INV_MIX_ROW)
+    bits = np.empty((state.shape[0], BLOCK_BITS), dtype=np.uint8)
+    np.put_along_axis(bits, perms, np.unpackbits(state, axis=1), axis=1)
+    return np.packbits(bits, axis=1) ^ rks[0]
 
 
 def _aligned_blocks(data):

@@ -6,6 +6,7 @@ import pytest
 from conftest import FIPS_CIPHER, FIPS_KEY, FIPS_PLAIN
 from oracles import aes_ecb, aes_ecb_decrypt
 from vpaes.cipher import (
+    _decrypt_blocks,
     _encrypt_blocks,
     decrypt_block,
     decrypt_payload,
@@ -16,6 +17,7 @@ from vpaes.cipher import (
 )
 from vpaes.errors import DomainError
 from vpaes.keystream import (
+    FractionStream,
     Key128,
     pi_fraction_bytes,
     required_byte_count,
@@ -128,11 +130,22 @@ class TestDecryptBlock:
         assert decrypt_block(FIPS_CIPHER, IDENT, rk) == FIPS_PLAIN
 
 
+STREAMS = {
+    "pi": lambda n: pi_fraction_bytes(777, n),
+    # every digit 0: each step selects slot 0
+    "00": lambda n: FractionStream(bytes(n)),
+    # digit 0 is 127: the first step selects the last live slot itself
+    "ff": lambda n: FractionStream(b"\xff" * n),
+}
+
+
 class TestPermutationMatrix:
-    def test_matches_scalar_chain_per_block(self):
-        blocks = 40
-        stream = pi_fraction_bytes(777, required_byte_count(blocks))
+    @pytest.mark.parametrize("blocks", [1, 40])
+    @pytest.mark.parametrize("source", sorted(STREAMS))
+    def test_matches_scalar_chain_per_block(self, source, blocks):
+        stream = STREAMS[source](required_byte_count(blocks))
         matrix = derive_permutation_matrix(stream, blocks)
+        assert matrix.shape == (blocks, 128)
         for j in range(blocks):
             scalar = permutation_from_coefficients(
                 coefficients_from_bytes(window(stream, j)))
@@ -162,16 +175,21 @@ class TestPayload:
         stream = pi_fraction_bytes(
             int.from_bytes(self.KEY.data, "big"), required_byte_count(25))
         rk = expand_key(self.KEY)
-        scalar = b"".join(
-            encrypt_block(
-                data[16 * j:16 * j + 16],
-                permutation_from_coefficients(
-                    coefficients_from_bytes(window(stream, j))),
-                rk)
-            for j in range(25))
-        assert encrypt_payload(data, self.KEY) == scalar
+        perms = [
+            permutation_from_coefficients(
+                coefficients_from_bytes(window(stream, j)))
+            for j in range(25)]
+        blocks = [data[16 * j:16 * j + 16] for j in range(25)]
+        assert encrypt_payload(data, self.KEY) == b"".join(
+            encrypt_block(b, p, rk) for b, p in zip(blocks, perms))
+        assert decrypt_payload(data, self.KEY) == b"".join(
+            decrypt_block(b, p, rk) for b, p in zip(blocks, perms))
 
-    def test_identity_permutations_reduce_to_ecb(self):
+    @pytest.mark.parametrize(
+        "kernel, reference",
+        [(_encrypt_blocks, aes_ecb), (_decrypt_blocks, aes_ecb_decrypt)],
+        ids=["encrypt", "decrypt"])
+    def test_identity_permutations_reduce_to_ecb(self, kernel, reference):
         rng = random.Random(37)
         key = bytes(rng.randrange(256) for _ in range(16))
         data = bytes(rng.randrange(256) for _ in range(16 * 120))
@@ -179,8 +197,7 @@ class TestPayload:
         perms = np.tile(np.arange(128, dtype=np.uint8), (120, 1))
         rks = [np.frombuffer(k, dtype=np.uint8)
                for k in expand_key(Key128(key)).keys]
-        assert _encrypt_blocks(state, perms, rks).tobytes() == aes_ecb(
-            key, data)
+        assert kernel(state, perms, rks).tobytes() == reference(key, data)
 
     def test_roundtrip(self):
         rng = random.Random(41)
