@@ -9,10 +9,9 @@ Payloads are processed as independent 16-byte blocks (a tweaked-codebook
 arrangement: the permutation is the tweak, derived from the block index via
 the sliding keystream window). ``encrypt_block``/``decrypt_block`` are the
 scalar reference; payload functions run a numpy path that processes every
-block of the image at once. That path has one round loop for both
-directions: batch decryption is the equivalent inverse cipher of FIPS-197
-(InvMixColumns applied to the inner round keys), and it undoes the bit
-permutation by scattering through the same permutation matrix. Both
+block of the image at once. One round loop and one arithmetic MixColumns
+serve both directions: InvMixColumns is MixColumns after a (5,0,4,0)
+pre-pass (Daemen & Rijmen, The Design of Rijndael, 4.1.3). Both
 directions are tested byte-for-byte against the scalar composition and,
 with identity permutations, against AES-128-ECB.
 """
@@ -170,17 +169,8 @@ def decrypt_block(block, perm, round_keys):
 
 _SBOX_NP = np.frombuffer(SBOX, dtype=np.uint8)
 _INV_SBOX_NP = np.frombuffer(INV_SBOX, dtype=np.uint8)
-_SHIFT_NP = np.array(SHIFT_IDX, dtype=np.intp)
-_INV_SHIFT_NP = np.array(INV_SHIFT_IDX, dtype=np.intp)
-_MUL_TABLES = {c: np.frombuffer(g, dtype=np.uint8) for c, g in (
-    (2, G2), (3, G3), (9, G9), (11, G11), (13, G13), (14, G14))}
-# First rows of the circulant MixColumns and InvMixColumns matrices.
-_MIX_ROW = (2, 3, 1, 1)
-_INV_MIX_ROW = (14, 11, 13, 9)
 # _ROTATE[k][i]: the byte k rows further down byte i's column, cyclically.
-_ROTATE = tuple(
-    np.array([i - i % 4 + (i + k) % 4 for i in range(16)], dtype=np.intp)
-    for k in range(4))
+_ROTATE = {k: [i - i % 4 + (i + k) % 4 for i in range(16)] for k in (1, 2)}
 
 
 def derive_permutation_matrix(stream, blocks):
@@ -210,38 +200,48 @@ def derive_permutation_matrix(stream, blocks):
     return arrangement[:, ::-1]
 
 
-def _mix(state, row):
-    """(Inv)MixColumns of (n, 16) states as the circulant matrix whose first
-    row is `row`: output byte r of a column is XOR_k row[k]·a[(r+k)%4]."""
-    out = np.zeros_like(state)
-    for k, coeff in enumerate(row):
-        term = state if coeff == 1 else _MUL_TABLES[coeff][state]
-        out ^= term[:, _ROTATE[k]]
-    return out
+def _xtime(a):
+    """Multiplication by x (that is, by 2) in GF(2^8) on a uint8 array."""
+    return (a << 1) ^ ((a >> 7) * 0x1B)
 
 
-def _rounds(state, rks, sbox, shift, mix_row):
+def _mix(state):
+    """MixColumns of (n, 16) states. Output byte r of a column is
+    xtime(p_r) ^ a_r+1 ^ p_r+2, where p_r = a_r ^ a_r+1."""
+    down = state[:, _ROTATE[1]]
+    pair = state ^ down
+    return _xtime(pair) ^ down ^ pair[:, _ROTATE[2]]
+
+
+def _inv_mix(state):
+    """InvMixColumns: MixColumns after the pre-pass a_r ^= 4·(a_r ^ a_r+2)."""
+    return _mix(state ^ _xtime(_xtime(state ^ state[:, _ROTATE[2]])))
+
+
+def _rounds(state, rks, sbox, shift, mix):
     """AES rounds 1..10 in one direction: a full round (Sub, Shift, Mix,
     AddKey) per key in `rks`, then Sub and Shift; the caller adds the outer
     round keys."""
     for rk in rks:
-        state = _mix(sbox[state][:, shift], mix_row) ^ rk
-    return sbox[state][:, shift]
+        state = mix(sbox[state][:, shift]) ^ rk
+    # The [:, shift] gather returns a column-major array, on which row-wise
+    # passes such as decrypt's np.unpackbits(axis=1) run about 30x slower.
+    return np.ascontiguousarray(sbox[state][:, shift])
 
 
 def _encrypt_blocks(state, perms, rks):
     bits = np.unpackbits(state ^ rks[0], axis=1)
     state = np.packbits(np.take_along_axis(bits, perms, axis=1), axis=1)
-    return _rounds(state, rks[1:ROUNDS], _SBOX_NP, _SHIFT_NP,
-                   _MIX_ROW) ^ rks[ROUNDS]
+    return _rounds(state, rks[1:ROUNDS], _SBOX_NP, SHIFT_IDX,
+                   _mix) ^ rks[ROUNDS]
 
 
 def _decrypt_blocks(state, perms, rks):
     # FIPS-197 equivalent inverse cipher: with InvMixColumns applied to
     # round keys 9..1, decryption runs the same round sequence as encryption.
-    inner = _mix(np.stack(rks[ROUNDS - 1:0:-1]), _INV_MIX_ROW)
-    state = _rounds(state ^ rks[ROUNDS], inner, _INV_SBOX_NP, _INV_SHIFT_NP,
-                    _INV_MIX_ROW)
+    inner = _inv_mix(np.stack(rks[ROUNDS - 1:0:-1]))
+    state = _rounds(state ^ rks[ROUNDS], inner, _INV_SBOX_NP, INV_SHIFT_IDX,
+                    _inv_mix)
     bits = np.empty((state.shape[0], BLOCK_BITS), dtype=np.uint8)
     np.put_along_axis(bits, perms, np.unpackbits(state, axis=1), axis=1)
     return np.packbits(bits, axis=1) ^ rks[0]

@@ -8,6 +8,10 @@ from oracles import aes_ecb, aes_ecb_decrypt
 from vpaes.cipher import (
     _decrypt_blocks,
     _encrypt_blocks,
+    _inv_mix,
+    _inv_mix_columns,
+    _mix,
+    _mix_columns,
     decrypt_block,
     decrypt_payload,
     derive_permutation_matrix,
@@ -128,6 +132,30 @@ class TestDecryptBlock:
     def test_inverts_fips_vector(self):
         rk = expand_key(Key128(FIPS_KEY))
         assert decrypt_block(FIPS_CIPHER, IDENT, rk) == FIPS_PLAIN
+
+
+class TestBatchMix:
+    # state i holds (k + 17*i) % 256 at position k; 17 is odd, so over the
+    # 256 states every position takes every byte value
+    STATES = ((np.arange(16) + 17 * np.arange(256)[:, None]) % 256).astype(
+        np.uint8)
+    # the round loop hands the mix column-major states
+    LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray}
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize(
+        "batch, scalar",
+        [(_mix, _mix_columns), (_inv_mix, _inv_mix_columns)],
+        ids=["mix", "inv_mix"])
+    def test_equals_scalar_row_by_row(self, batch, scalar, layout):
+        out = batch(self.LAYOUTS[layout](self.STATES))
+        for row, state in zip(out, self.STATES):
+            assert row.tobytes() == scalar(state.tobytes())
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_inv_mix_undoes_mix(self, layout):
+        states = self.LAYOUTS[layout](self.STATES)
+        assert np.array_equal(_inv_mix(_mix(states)), self.STATES)
 
 
 STREAMS = {

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import mp_frac_bytes, pi_fraction_bytes_bbp
+from vpaes import keystream
 from vpaes.errors import DomainError
 from vpaes.keystream import (
     FractionStream,
@@ -77,6 +78,27 @@ class TestPiFractionBytes:
 
     def test_exactness_small_l_long_stream(self):
         assert pi_fraction_bytes(3, 4096).data == mp_frac_bytes(3, 4096)
+
+    def test_guard_doubling_retry(self, monkeypatch):
+        # an error bound of 2^80 ulp swamps the first attempt's 64 guard
+        # bits, so emission must wait for the doubled guard of 128
+        precisions = []
+        real_pi_fixed = keystream._pi_fixed
+
+        def counting_pi_fixed(prec):
+            precisions.append(prec)
+            return real_pi_fixed(prec)
+
+        monkeypatch.setattr(keystream, "PI_ERROR_ULPS", 1 << 80)
+        monkeypatch.setattr(keystream, "_pi_fixed", counting_pi_fixed)
+        pi_fraction_bytes.cache_clear()
+        try:
+            stream = pi_fraction_bytes(777, 40)
+        finally:
+            pi_fraction_bytes.cache_clear()
+        assert len(precisions) == 2
+        assert precisions[1] - precisions[0] == keystream.GUARD_BITS
+        assert stream.data == mp_frac_bytes(777, 40)
 
 
 class TestWindow:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -7,12 +10,14 @@ import pytest
 
 from conftest import random_image, text_style_image
 from oracles import brute_spectral
+import vpaes
 from vpaes.errors import DomainError, PreconditionError
 from vpaes.imageio import CipherContainer, ImageBuffer
 from vpaes.randstat import TestReport as StatReport
 from vpaes.randstat import (
     PairSample,
     ToneHistogram,
+    chi_square_exact_tail,
     chi_square_tone_test,
     channel_bits,
     correlation,
@@ -269,6 +274,40 @@ class TestChiSquareTone:
         report = chi_square_tone_test(hist_from_counts(counts))
         assert "p_value_exact_chi2" in report.extras
         assert 0.0 <= report.extras["p_value_exact_chi2"] <= 1.0
+
+
+class TestChiSquareExactTail:
+    # 307.61 and 324.78 are the normal-approximation thresholds of criteria
+    # 7a and 7b; at 2000, deep in the tail, Q is about 1e-267
+    GRID = (0.5, 1.0, 10.0, 100.0, 200.0, 255.0, 307.61, 324.78, 400.0,
+            600.0, 1000.0, 1500.0, 2000.0)
+
+    @pytest.mark.parametrize("x", GRID)
+    def test_matches_regularized_incomplete_gamma(self, x):
+        with mpmath.workdps(40):
+            ref = mpmath.gammainc(mpmath.mpf(127.5), mpmath.mpf(x) / 2,
+                                  mpmath.inf, regularized=True)
+        assert chi_square_exact_tail(x) == pytest.approx(
+            float(ref), rel=1e-12, abs=0.0)
+
+    def test_zero_statistic_has_unit_tail(self):
+        assert chi_square_exact_tail(0.0) == 1.0
+
+    def test_far_tail_underflows_to_zero(self):
+        assert chi_square_exact_tail(5000.0) == 0.0
+
+    def test_never_exceeds_one(self):
+        assert all(0.0 < chi_square_exact_tail(x) <= 1.0
+                   for x in np.geomspace(1e-9, 200.0, 500))
+
+    def test_package_import_does_not_load_scipy(self):
+        src = os.path.dirname(os.path.dirname(vpaes.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, vpaes; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestSelectionScore:
