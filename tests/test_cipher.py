@@ -1,10 +1,15 @@
+import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIPS_CIPHER, FIPS_KEY, FIPS_PLAIN
 from oracles import aes_ecb, aes_ecb_decrypt
+from vpaes import cipher
 from vpaes.cipher import (
     _decrypt_blocks,
     _encrypt_blocks,
@@ -14,9 +19,11 @@ from vpaes.cipher import (
     _mix_columns,
     decrypt_block,
     decrypt_payload,
+    decrypt_payload_with_stream,
     derive_permutation_matrix,
     encrypt_block,
     encrypt_payload,
+    encrypt_payload_with_stream,
     expand_key,
 )
 from vpaes.errors import DomainError
@@ -179,10 +186,35 @@ class TestPermutationMatrix:
                 coefficients_from_bytes(window(stream, j)))
             assert tuple(matrix[j]) == scalar.mapping
 
+    @pytest.mark.parametrize("start", [1, 127, 4095])
+    @pytest.mark.parametrize("source", sorted(STREAMS))
+    def test_matches_scalar_chain_from_start(self, source, start):
+        blocks = 5
+        stream = STREAMS[source](required_byte_count(start + blocks))
+        matrix = derive_permutation_matrix(stream, blocks, start)
+        assert matrix.shape == (blocks, 128)
+        for j in range(blocks):
+            scalar = permutation_from_coefficients(
+                coefficients_from_bytes(window(stream, start + j)))
+            assert tuple(matrix[j]) == scalar.mapping
+
     def test_stream_too_short_rejected(self):
         stream = pi_fraction_bytes(777, 127)
         with pytest.raises(DomainError):
             derive_permutation_matrix(stream, 2)
+
+    @pytest.mark.parametrize("start", [1, 300])
+    def test_stream_length_counts_start_plus_blocks(self, start):
+        stream = pi_fraction_bytes(777, required_byte_count(start + 3))
+        assert len(derive_permutation_matrix(stream, 3, start)) == 3
+        with pytest.raises(DomainError):
+            derive_permutation_matrix(
+                FractionStream(stream.data[:-1]), 3, start)
+
+    def test_negative_start_rejected(self):
+        stream = pi_fraction_bytes(777, 200)
+        with pytest.raises(DomainError):
+            derive_permutation_matrix(stream, 2, -1)
 
 
 class TestPayload:
@@ -266,3 +298,61 @@ class TestPayload:
     def test_zero_key_rejected_via_keystream(self):
         with pytest.raises(DomainError):
             encrypt_payload(bytes(16), Key128(bytes(16)))
+
+
+# (chunk size, payload blocks): blocks on either side of one and two chunk
+# edges, or anywhere up to 40
+CHUNK_CASES = st.integers(1, 9).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.one_of(st.sampled_from([k - 1, k, k + 1, 2 * k + 1]).filter(bool),
+              st.integers(1, 40))))
+
+
+class TestChunking:
+    KEY = TestPayload.KEY
+    DATA = bytes(random.Random(47).randrange(256) for _ in range(16 * 40))
+    DIRECTIONS = [encrypt_payload_with_stream, decrypt_payload_with_stream]
+
+    @settings(max_examples=50, deadline=None)
+    @given(CHUNK_CASES)
+    def test_chunked_output_equals_one_shot(self, case):
+        chunk, blocks = case
+        data = self.DATA[:16 * blocks]
+        stream = pi_fraction_bytes(777, required_byte_count(blocks))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cipher, "CHUNK_BLOCKS", blocks)
+            one_shot = [f(data, self.KEY, stream) for f in self.DIRECTIONS]
+            mp.setattr(cipher, "CHUNK_BLOCKS", chunk)
+            assert [f(data, self.KEY, stream)
+                    for f in self.DIRECTIONS] == one_shot
+
+    def test_multi_chunk_digest(self):
+        # frozen byte contract across chunk edges: more than two full
+        # chunks and a partial one (digests of the one-pass implementation)
+        blocks = 10_007
+        assert blocks > 2 * cipher.CHUNK_BLOCKS
+        assert blocks % cipher.CHUNK_BLOCKS
+        data = hashlib.shake_256(b"vpaes chunk edges").digest(16 * blocks)
+        assert hashlib.sha256(encrypt_payload(data, self.KEY)).hexdigest() == (
+            "c791a26bee190cbb576c26aca39f067bbf759f7814fe5b446b59ae3796e09f4f")
+        assert hashlib.sha256(decrypt_payload(data, self.KEY)).hexdigest() == (
+            "b3d062f0c4a3dd95cc92d7ca462b6c9df7545cd4825656d800b081126f505d0d")
+
+    @pytest.mark.parametrize("run", DIRECTIONS, ids=["encrypt", "decrypt"])
+    def test_peak_memory_grows_with_the_payload_only(self, run):
+        # beyond the output, a payload call holds one chunk's working set,
+        # so from 4 to 8 chunks the traced peak grows by the added output
+        chunk = cipher.CHUNK_BLOCKS
+        rng = np.random.default_rng(53)
+        peaks = []
+        for blocks in (4 * chunk, 8 * chunk):
+            stream = FractionStream(rng.integers(
+                0, 256, required_byte_count(blocks), np.uint8).tobytes())
+            data = rng.integers(0, 256, 16 * blocks, np.uint8).tobytes()
+            tracemalloc.start()
+            try:
+                run(data, self.KEY, stream)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 3 * 16 * 4 * chunk

@@ -1,3 +1,4 @@
+import random
 import struct
 
 import pytest
@@ -10,6 +11,7 @@ from vpaes.errors import (
     ContainerVersionError,
     ImageFormatError,
     ImageParseError,
+    VpaesError,
 )
 from vpaes.imageio import (
     CipherContainer,
@@ -286,3 +288,61 @@ class TestImageBufferType:
             ImageBuffer(2, 2, 2, bytes(8))
         with pytest.raises(DomainError):
             ImageBuffer(0, 2, 1, b"")
+
+
+class TestParserFuzz:
+    """Seeded byte flips and truncations of valid files: whatever the
+    damage, the parsers either decode or raise a VpaesError."""
+
+    CASES = 700  # per seed file
+
+    @staticmethod
+    def mutants(data, seed):
+        rng = random.Random(seed)
+        for case in range(TestParserFuzz.CASES):
+            buf = bytearray(data)
+            if case % 4 == 0:
+                cut = rng.randrange(len(buf))
+                yield f"truncated to {cut}", bytes(buf[:cut])
+                continue
+            # three flips in four land in the first 64 bytes, the header
+            flips = []
+            for _ in range(rng.randint(1, 4)):
+                reach = 64 if rng.random() < 0.75 else len(buf)
+                pos = rng.randrange(min(reach, len(buf)))
+                buf[pos] = rng.randrange(256)
+                flips.append((pos, buf[pos]))
+            yield f"bytes set {flips}", bytes(buf)
+
+    @staticmethod
+    def seeds():
+        grey, colour = random_image(5, 7, 1, seed=3), random_image(7, 5, 3,
+                                                                   seed=4)
+        return {
+            "p5": b"P5\n5 7\n255\n" + grey.data,
+            "p6": b"P6\n7 5\n255\n" + colour.data,
+            "bmp": make_bmp_bytes(colour),
+        }
+
+    @pytest.mark.parametrize("kind", ["p5", "p6", "bmp"])
+    def test_load_image_raises_only_vpaes_errors(self, tmp_path, kind):
+        path = tmp_path / "fuzz.img"
+        for what, data in self.mutants(self.seeds()[kind], kind):
+            path.write_bytes(data)
+            try:
+                load_image(path)
+            except VpaesError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"{kind} {what}: {exc!r} escaped load_image")
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_parse_container_raises_only_vpaes_errors(self, channels):
+        valid = container_bytes(make_container(5, 3, channels, seed=9))
+        for what, data in self.mutants(valid, channels):
+            try:
+                parse_container(data)
+            except VpaesError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"container {what}: {exc!r} escaped")
