@@ -46,26 +46,9 @@ INV_SBOX = bytes(_inv)
 del _inv, _i, _v
 
 
-def _gmul(a, b):
-    """Multiplication in GF(2^8) modulo x^8 + x^4 + x^3 + x + 1."""
-    r = 0
-    for _ in range(8):
-        if b & 1:
-            r ^= a
-        hi = a & 0x80
-        a = (a << 1) & 0xFF
-        if hi:
-            a ^= 0x1B
-        b >>= 1
-    return r
-
-
-G2 = bytes(_gmul(2, x) for x in range(256))
-G3 = bytes(_gmul(3, x) for x in range(256))
-G9 = bytes(_gmul(9, x) for x in range(256))
-G11 = bytes(_gmul(11, x) for x in range(256))
-G13 = bytes(_gmul(13, x) for x in range(256))
-G14 = bytes(_gmul(14, x) for x in range(256))
+# G2[x] = 2·x in GF(2^8) modulo x^8 + x^4 + x^3 + x + 1 (xtime); G3[x] = 3·x.
+G2 = bytes((x << 1) & 0xFF ^ (0x1B if x & 0x80 else 0) for x in range(256))
+G3 = bytes(g ^ x for x, g in enumerate(G2))
 
 # ShiftRows on bytes in AES input order (byte i sits at row i%4, col i//4):
 # output byte r+4c takes input byte r+4((c+r)%4).
@@ -121,14 +104,11 @@ def _mix_columns(s):
 
 
 def _inv_mix_columns(s):
-    out = bytearray(16)
-    for c in range(0, 16, 4):
-        a0, a1, a2, a3 = s[c], s[c + 1], s[c + 2], s[c + 3]
-        out[c] = G14[a0] ^ G11[a1] ^ G13[a2] ^ G9[a3]
-        out[c + 1] = G9[a0] ^ G14[a1] ^ G11[a2] ^ G13[a3]
-        out[c + 2] = G13[a0] ^ G9[a1] ^ G14[a2] ^ G11[a3]
-        out[c + 3] = G11[a0] ^ G13[a1] ^ G9[a2] ^ G14[a3]
-    return bytes(out)
+    """InvMixColumns as MixColumns cubed. In GF(2^8)[x]/(x^4 + 1) squaring
+    acts on each coefficient and x^4 = 1, so c(x)^4 = c(1)^4 = 1 for
+    c(x) = 03x^3 + 01x^2 + 01x + 02 (FIPS-197 5.3.3; Daemen & Rijmen, The
+    Design of Rijndael, 4.1.3)."""
+    return _mix_columns(_mix_columns(_mix_columns(s)))
 
 
 def encrypt_block(block, perm, round_keys):

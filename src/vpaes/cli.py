@@ -12,7 +12,7 @@ import re
 import sys
 import time
 
-from . import randstat
+from . import __version__, randstat
 from .cipher import BLOCK_BYTES, encrypt_payload, decrypt_payload
 from .errors import (
     ContainerError,
@@ -34,9 +34,9 @@ from .imageio import (
     unpad_payload,
     write_container,
 )
-from .keystream import Key128, key_to_integer
+from .keystream import KEY_BYTES, Key128, key_to_integer
 
-_KEY_MODULUS = 1 << 128
+_KEY_MODULUS = 1 << 8 * KEY_BYTES
 # The first class an error is an instance of picks the exit code.
 _EXIT_CODES = (
     (KeyFormatError, 2),
@@ -61,7 +61,7 @@ def parse_key_hex(text):
             f"key must be 32 hex digits and nothing else, got {len(t)} "
             "characters")
     data = bytes.fromhex(t.zfill(32))
-    if data == bytes(16):
+    if data == bytes(KEY_BYTES):
         raise KeyFormatError(
             "the all-zero key is invalid: it degenerates the keystream")
     return Key128(data)
@@ -75,12 +75,19 @@ def _sha256_file(path):
     return digest.hexdigest()
 
 
-def _emit_report(args, document):
+def _emit_report(args, results, *fields):
+    """Write one report: its provenance (command, input and its sha256,
+    package version, and the arguments named in `fields`) and the results,
+    as JSON or as one text line per result."""
+    document = {"command": args.command, "input": args.input,
+                "input_sha256": _sha256_file(args.input),
+                "version": __version__, "results": results}
+    document.update((name, getattr(args, name)) for name in fields)
     if args.report == "json":
         text = json.dumps(document, sort_keys=True, indent=2) + "\n"
     else:
         lines = []
-        for entry in document["results"]:
+        for entry in results:
             lead = f"{entry['test']:<24} {entry.get('channel', ''):<6}"
             if "error" in entry:
                 lines.append(f"{lead} error: {entry['error']}")
@@ -148,17 +155,14 @@ def cmd_decrypt(args):
 
 def _analysis_results(img, args):
     results = []
-    failed = False
     channels = randstat.channel_names(img.channels)
 
     def run(name, channel, fn):
-        nonlocal failed
         try:
             results.append(_entry(fn()))
         except VpaesError as exc:
             results.append({"test": name, "channel": channel,
                             "error": str(exc)})
-            failed = True
 
     for ch in channels:
         hist = randstat.tone_histogram(img, ch)
@@ -177,36 +181,22 @@ def _analysis_results(img, args):
     for ch in channels:
         run("chi_square_tone", ch, lambda c=ch: randstat.chi_square_tone_test(
             randstat.tone_histogram(img, c), args.alpha))
-    return results, failed
+    return results
 
 
 def cmd_analyze(args):
-    img = _load_plain_or_cipher(args.input)
-    results, failed = _analysis_results(img, args)
-    _emit_report(args, {
-        "command": "analyze",
-        "input": args.input,
-        "input_sha256": _sha256_file(args.input),
-        "seed": args.seed,
-        "alpha": args.alpha,
-        "samples": args.samples,
-        "results": results,
-    })
-    return 6 if failed else 0
+    results = _analysis_results(_load_plain_or_cipher(args.input), args)
+    _emit_report(args, results, "seed", "alpha", "samples")
+    return 6 if any("error" in entry for entry in results) else 0
 
 
 def cmd_select_score(args):
     img = load_image(args.input)
     scores = randstat.plaintext_selection_score(img)
-    _emit_report(args, {
-        "command": "select-score",
-        "input": args.input,
-        "input_sha256": _sha256_file(args.input),
-        "results": [
-            {"test": "selection_score", "channel": ch, "statistic": value}
-            for ch, value in scores.items()
-        ],
-    })
+    _emit_report(args, [
+        {"test": "selection_score", "channel": ch, "statistic": value}
+        for ch, value in scores.items()
+    ])
     return 0
 
 
@@ -217,7 +207,7 @@ def cmd_sensitivity(args):
     if bumped == 0:
         raise KeyFormatError(
             "key + 1 wraps to the all-zero key, which is invalid")
-    key_next = Key128(bumped.to_bytes(16, "big"))
+    key_next = Key128(bumped.to_bytes(KEY_BYTES, "big"))
     containers = [
         CipherContainer(img.width, img.height, img.channels, pad_len,
                         encrypt_payload(padded, k))
@@ -233,14 +223,7 @@ def cmd_sensitivity(args):
         "test": "sensitivity_correlation_max_abs", "channel": "all",
         "statistic": max(abs(r) for r in correlations.values()),
     })
-    _emit_report(args, {
-        "command": "sensitivity",
-        "input": args.input,
-        "input_sha256": _sha256_file(args.input),
-        "seed": args.seed,
-        "samples": args.samples,
-        "results": results,
-    })
+    _emit_report(args, results, "seed", "samples")
     return 0
 
 

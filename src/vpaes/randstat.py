@@ -82,22 +82,15 @@ class TestReport:
     statistic: float
     p_value: float = None
     alpha: float = None
-    decision: str = None
     extras: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.p_value is not None and self.alpha is not None:
-            expected = "accepted" if self.p_value >= self.alpha else "rejected"
-            if self.decision != expected:
-                raise DomainError(
-                    f"decision {self.decision!r} contradicts "
-                    f"p={self.p_value} vs alpha={self.alpha}")
-
-
-def _decided(test, channel, statistic, p_value, alpha, extras=None):
-    decision = "accepted" if p_value >= alpha else "rejected"
-    return TestReport(test, channel, statistic, p_value, alpha, decision,
-                      extras or {})
+    @property
+    def decision(self):
+        """Follows p and alpha: "accepted" if p >= alpha, "rejected" if
+        p < alpha, None for a report without a test."""
+        if self.p_value is None or self.alpha is None:
+            return None
+        return "accepted" if self.p_value >= self.alpha else "rejected"
 
 
 def _plane(img, channel):
@@ -205,7 +198,7 @@ def spectral_dft_test(bits, alpha=0.01, channel=""):
     n0 = 0.95 * n / 2.0
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     p_value = erfc(abs(d) / _SQRT2)
-    return _decided(
+    return TestReport(
         "spectral_dft", channel, d, p_value, alpha,
         {"n": n, "n0": n0, "n1": n1, "peak_threshold": threshold})
 
@@ -260,7 +253,7 @@ def chi_square_tone_test(hist, alpha=0.01):
             f"chi-square tone test needs >= 2560 samples (10 per bin), "
             f"got {hist.total}")
     chi2 = chi_square_statistic(hist)
-    return _decided(
+    return TestReport(
         "chi_square_tone", hist.channel, chi2, chi_square_p_value(chi2),
         alpha, {"p_value_exact_chi2": chi_square_exact_tail(chi2)})
 

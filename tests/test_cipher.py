@@ -27,6 +27,13 @@ from vpaes.cipher import (
     expand_key,
 )
 from vpaes.errors import DomainError
+from vpaes.imageio import (
+    CipherContainer,
+    container_bytes,
+    pad_payload,
+    parse_container,
+    unpad_payload,
+)
 from vpaes.keystream import (
     FractionStream,
     Key128,
@@ -159,8 +166,13 @@ class TestBatchMix:
         for row, state in zip(out, self.STATES):
             assert row.tobytes() == scalar(state.tobytes())
 
-    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS) + ["scalar"])
     def test_inv_mix_undoes_mix(self, layout):
+        if layout == "scalar":
+            for state in self.STATES:
+                s = state.tobytes()
+                assert _inv_mix_columns(_mix_columns(s)) == s
+            return
         states = self.LAYOUTS[layout](self.STATES)
         assert np.array_equal(_inv_mix(_mix(states)), self.STATES)
 
@@ -217,6 +229,13 @@ class TestPermutationMatrix:
             derive_permutation_matrix(stream, 2, -1)
 
 
+# (width, height): 1x1 up to 48x48, or one row or one column of up to 400
+SHAPES = st.one_of(
+    st.tuples(st.integers(1, 48), st.integers(1, 48)),
+    st.tuples(st.integers(1, 400), st.just(1)),
+    st.tuples(st.just(1), st.integers(1, 400)))
+
+
 class TestPayload:
     KEY = Key128((0xFEDCBA9876543210FEDCBA9876543210).to_bytes(16, "big"))
 
@@ -265,20 +284,46 @@ class TestPayload:
         assert decrypt_payload(encrypt_payload(data, self.KEY),
                                self.KEY) == data
 
+    @settings(max_examples=40, deadline=None)
+    @given(SHAPES, st.sampled_from([1, 3]),
+           st.binary(min_size=16, max_size=16).filter(any),
+           st.integers(0, 2**32))
+    def test_roundtrip_through_container(self, shape, channels, key, seed):
+        width, height = shape
+        pixels = random.Random(seed).randbytes(width * height * channels)
+        key = Key128(key)
+        padded, pad_len = pad_payload(pixels)
+        sealed = container_bytes(CipherContainer(
+            width, height, channels, pad_len, encrypt_payload(padded, key)))
+        c = parse_container(sealed)
+        assert (c.width, c.height, c.channels) == (width, height, channels)
+        assert unpad_payload(decrypt_payload(c.payload, key),
+                             c.pad_len) == pixels
+
     def test_length_preserved(self):
         data = bytes(16 * 33)
         assert len(encrypt_payload(data, self.KEY)) == len(data)
 
-    def test_tweak_locality(self):
-        rng = random.Random(43)
-        data = bytearray(rng.randrange(256) for _ in range(16 * 60))
-        base = encrypt_payload(bytes(data), self.KEY)
-        j = 17
-        data[16 * j] ^= 0xA5
-        changed = encrypt_payload(bytes(data), self.KEY)
-        for blk in range(60):
-            same = base[16 * blk:16 * blk + 16] == changed[16 * blk:16 * blk + 16]
-            assert same == (blk != j)
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from([-1, 0, 1]),
+           st.integers(0, 15), st.integers(1, 255))
+    def test_tweak_locality(self, chunk, edge, byte, flip):
+        # changing block j changes block j of the output only, in both
+        # directions, with j = K-1, K or K+1 for a chunk size K
+        blocks = 2 * chunk + 2
+        data = bytearray(random.Random(43).randbytes(16 * blocks))
+        j = chunk + edge
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cipher, "CHUNK_BLOCKS", chunk)
+            base = [f(bytes(data), self.KEY)
+                    for f in (encrypt_payload, decrypt_payload)]
+            data[16 * j + byte] ^= flip
+            changed = [f(bytes(data), self.KEY)
+                       for f in (encrypt_payload, decrypt_payload)]
+        for a, b in zip(base, changed):
+            for blk in range(blocks):
+                same = a[16 * blk:16 * blk + 16] == b[16 * blk:16 * blk + 16]
+                assert same == (blk != j)
 
     def test_deterministic(self):
         data = bytes(range(256))

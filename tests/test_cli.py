@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import vpaes
 from conftest import random_image, text_style_image
 from vpaes.cli import main, parse_key_hex
 from vpaes.errors import KeyFormatError
@@ -170,6 +171,26 @@ class TestExitCodes:
         src = write_ppm(tmp_path / "one.ppm", img)
         assert main(["sensitivity", "--in", src, "--key", KEY]) == 1
         assert "zero variance" in capsys.readouterr().err
+
+
+class TestReportProvenance:
+    COMMON = {"command", "input", "input_sha256", "version", "results"}
+
+    @pytest.mark.parametrize("command, extra, fields", [
+        ("analyze", [], {"seed", "alpha", "samples"}),
+        ("select-score", [], set()),
+        ("sensitivity", ["--key", KEY], {"seed", "samples"}),
+    ], ids=["analyze", "select-score", "sensitivity"])
+    def test_top_level_keys(self, tmp_path, command, extra, fields):
+        src = write_ppm(tmp_path / "in.ppm", random_image(64, 64, 3, seed=13))
+        out = tmp_path / "report.json"
+        assert main([command, "--in", src, "--out", str(out),
+                     "--report", "json", *extra]) == 0
+        doc = json.loads(out.read_text())
+        assert set(doc) == self.COMMON | fields
+        assert doc["command"] == command
+        assert doc["input"] == src
+        assert doc["version"] == vpaes.__version__
 
 
 class TestAnalyze:

@@ -379,13 +379,14 @@ class TestSensitivity:
 
 
 class TestReportType:
-    def test_decision_must_match_p_and_alpha(self):
-        with pytest.raises(DomainError):
-            StatReport("t", "red", 1.0, p_value=0.5, alpha=0.01,
-                       decision="rejected")
-        report = StatReport("t", "red", 1.0, p_value=0.005, alpha=0.01,
-                            decision="rejected")
-        assert report.decision == "rejected"
+    def test_decision_follows_p_and_alpha(self):
+        def decision(p_value, alpha):
+            return StatReport("t", "red", 1.0, p_value, alpha).decision
+
+        assert decision(0.01, 0.01) == "accepted"
+        assert decision(math.nextafter(0.01, 0), 0.01) == "rejected"
+        assert decision(None, None) is None
+        assert decision(0.5, None) is None
 
 
 class TestChannelHelpers:
