@@ -9,13 +9,18 @@ Payloads are processed as independent 16-byte blocks (a tweaked-codebook
 arrangement: the permutation is the tweak, derived from the block index via
 the sliding keystream window). ``encrypt_block``/``decrypt_block`` are the
 scalar reference; payload functions run a numpy path over chunks of
-CHUNK_BLOCKS blocks. Each chunk derives its permutations, runs the rounds
-and writes into one preallocated output, so time grows linearly with the
+CHUNK_BLOCKS blocks. Each chunk unpacks its state bits into position-major
+rows (row p holds bit p of every block) and runs the Durstenfeld selection
+pass on them in place: its swaps never look at the values they move, so
+this applies every block's permutation with no permutation matrix, and the
+same swaps in reverse order undo it. The chunk then runs the rounds and
+writes into one preallocated output, so time grows linearly with the
 payload and memory beyond input and output stays bounded. One round loop
 and one arithmetic MixColumns serve both directions: InvMixColumns is
 MixColumns after a (5,0,4,0) pre-pass (Daemen & Rijmen, The Design of
 Rijndael, 4.1.3). Both directions are tested byte-for-byte against the
-scalar composition and, with identity permutations, against AES-128-ECB.
+scalar composition and, with one permutation for every block, against
+AES-128-ECB around it.
 """
 
 from dataclasses import dataclass
@@ -153,10 +158,88 @@ _SBOX_NP = np.frombuffer(SBOX, dtype=np.uint8)
 _INV_SBOX_NP = np.frombuffer(INV_SBOX, dtype=np.uint8)
 # _ROTATE[k][i]: the byte k rows further down byte i's column, cyclically.
 _ROTATE = {k: [i - i % 4 + (i + k) % 4 for i in range(16)] for k in (1, 2)}
-# Blocks per pass of the payload loop: a chunk's working set (about 1.5 KiB
-# per block) stays near cache size. Sizes from 2,048 to 16,384 ran equally
-# fast from 512² to 2048² RGB; the smaller working set decided.
+# Blocks per pass of the payload loop: a chunk's working set (about 1 MiB
+# at 4,096 blocks) stays near cache size. The first sweep tried only powers
+# of two, whose unpadded bit rows were all 4K-aliased. With padded rows,
+# encrypt at 512² took 0.80-0.82, 0.72-0.74, 0.68-0.70 and 0.72 µs per
+# block for 2,048, 4,096, 8,192 and 16,384 (medians of 9, two sweeps,
+# 2-core Xeon, CPython 3.11). 4,096 stays: 8,192 saves about 5% but doubles
+# the working set.
 CHUNK_BLOCKS = 4096
+# Bytes added to every bit row: a row stride that is a multiple of 4,096
+# bytes maps column j of every row to one cache set, which doubled the cost
+# of a selection step's scatter.
+_ROW_PAD = 64
+# _DIGITS[i, b] is digit i of a window whose byte i is b: b mod (128 - i).
+# Built from Python ints: with numpy's uint8 remainder, `import vpaes` left
+# about 0.08 MiB more resident.
+_DIGITS = np.array([[b % (BLOCK_BITS - i) for b in range(256)]
+                    for i in range(WINDOW_BYTES)], dtype=np.uint8)
+# A uint64 word of a bit row holds one bit position of eight blocks; these
+# shifts move bit b of each byte (MSB first) to bit 0 and back, eight bytes
+# at a time.
+_BIT_SHIFTS = np.arange(7, -1, -1, dtype=np.uint64)[:, None]
+_LOW_BITS = np.uint64(0x0101010101010101)
+
+
+def _bit_rows(blocks):
+    """An uninitialised position-major arrangement for `blocks` blocks: row
+    p holds position p of every block, padded to whole uint64 words plus
+    _ROW_PAD bytes."""
+    return np.empty((BLOCK_BITS, -(-blocks // 8) * 8 + _ROW_PAD), np.uint8)
+
+
+def _permute(state, stream, start, inverse=False):
+    """Every block's bit permutation, or its inverse, on (n, 16) states.
+
+    The bits go into position-major rows (bit 0 is the MSB of byte 0),
+    _shuffle permutes the rows in place, and they are packed back. Output
+    bit q sits in row 127-q, so the forward direction reads the rows in
+    reverse order and the inverse writes them in reverse order.
+    """
+    n = len(state)
+    rows = _bit_rows(n)
+    # [k, b] is row 8k + b; reversing both axes reverses the rows
+    words = rows.view(np.uint64).reshape(BLOCK_BYTES, 8, -1)
+    flipped = words[::-1, ::-1]
+    into, out_of = (flipped, words) if inverse else (words, flipped)
+    byte_rows = np.empty((BLOCK_BYTES, rows.shape[1]), np.uint8)
+    byte_rows[:, :n] = state.T
+    np.right_shift(byte_rows.view(np.uint64)[:, None], _BIT_SHIFTS, out=into)
+    into &= _LOW_BITS
+    _shuffle(rows, stream, start, n, reverse=inverse)
+    out_of <<= _BIT_SHIFTS
+    return np.bitwise_or.reduce(out_of, axis=1).view(np.uint8)[:, :n].T
+
+
+def _shuffle(rows, stream, start, blocks, reverse=False):
+    """The selection pass of blocks start..start+blocks-1, in place on the
+    position-major arrangement `rows`; reverse=True undoes it.
+
+    Window j starts at stream byte j, so digit i of every block comes from
+    raw[start+i:][:blocks]. Step i swaps the selected element of each block
+    into the last live row, 127-i, which leaves the selection sequence in
+    reverse row order. A swap never looks at the values it moves, so rows
+    of state bits are permuted exactly as rows of positions would be, and
+    running the steps backwards restores them.
+    """
+    if stream.count < required_byte_count(start + blocks):
+        raise DomainError(f"stream of {stream.count} bytes cannot serve "
+                          f"blocks {start}..{start + blocks - 1}")
+    # as intp, so no step converts its byte indices into the slot table
+    raw = np.frombuffer(stream.data, dtype=np.uint8)[
+        start:start + blocks + WINDOW_BYTES - 1].astype(np.intp)
+    flat = rows.reshape(-1)
+    slot_table = np.multiply(_DIGITS, rows.strides[0], dtype=np.intp)
+    columns = np.arange(blocks)
+    steps = range(WINDOW_BYTES)
+    for i in reversed(steps) if reverse else steps:
+        slots = slot_table[i].take(raw[i:i + blocks])
+        slots += columns
+        last = rows[BLOCK_BITS - 1 - i, :blocks]
+        picked = flat.take(slots)
+        flat[slots] = last
+        last[:] = picked
 
 
 def derive_permutation_matrix(stream, blocks, start=0):
@@ -165,30 +248,16 @@ def derive_permutation_matrix(stream, blocks, start=0):
 
     Row j is the selection sequence for the digits of window start+j;
     identical to running coefficients_from_bytes +
-    permutation_from_coefficients per block. Window j starts at stream byte
-    j, so digit i of every block is raw[start+i:][:blocks] % (128-i). Each
-    step swaps the selected element into the last live slot, which leaves
-    the selection sequence in reverse order. The arrangement is
-    position-major (the row of position p is contiguous), so a step is a
-    gather and a scatter through p·blocks + column and one row copy.
+    permutation_from_coefficients per block. This is _shuffle, the pass the
+    payload kernels run on state bits, run on position numbers.
     """
     if blocks < 1 or start < 0:
         raise DomainError(
             f"need blocks >= 1 and start >= 0, got {blocks} and {start}")
-    if stream.count < required_byte_count(start + blocks):
-        raise DomainError(f"stream of {stream.count} bytes cannot serve "
-                          f"blocks {start}..{start + blocks - 1}")
-    raw = np.frombuffer(stream.data, dtype=np.uint8)[start:]
-    arrangement = np.repeat(np.arange(BLOCK_BITS, dtype=np.uint8), blocks)
-    columns = np.arange(blocks)
-    for i in range(WINDOW_BYTES):
-        digits = raw[i:i + blocks] % (BLOCK_BITS - i)
-        slots = digits.astype(np.intp) * blocks + columns
-        last = arrangement[(BLOCK_BITS - 1 - i) * blocks:][:blocks]
-        picked = arrangement[slots]
-        arrangement[slots] = last
-        last[:] = picked
-    return arrangement.reshape(BLOCK_BITS, blocks)[::-1].T
+    rows = _bit_rows(blocks)
+    rows[:, :blocks] = np.arange(BLOCK_BITS, dtype=np.uint8)[:, None]
+    _shuffle(rows, stream, start, blocks)
+    return rows[::-1, :blocks].T
 
 
 def _xtime(a):
@@ -214,35 +283,23 @@ def _rounds(state, rks, sbox, shift, mix):
     AddKey) per key in `rks`, then Sub and Shift; the caller adds the outer
     round keys."""
     for rk in rks:
-        state = mix(sbox[state][:, shift]) ^ rk
-    # The [:, shift] gather returns a column-major array, on which row-wise
-    # passes such as decrypt's np.unpackbits(axis=1) run about 30x slower.
-    return np.ascontiguousarray(sbox[state][:, shift])
+        state = mix(sbox.take(state)[:, shift]) ^ rk
+    # column-major, so the byte-major copy in decrypt's _permute is cheap
+    return sbox.take(state)[:, shift]
 
 
-def _bit_slots(perms):
-    """Flat indices into an (n, 128) bit array: (j, q) -> 128·j + perms[j, q],
-    C-ordered."""
-    offsets = np.arange(0, perms.size, BLOCK_BITS)[:, None]
-    return np.add(perms, offsets, out=np.empty(perms.shape, dtype=np.intp))
+def _encrypt_blocks(state, stream, start, rks):
+    return _rounds(_permute(state ^ rks[0], stream, start), rks[1:ROUNDS],
+                   _SBOX_NP, SHIFT_IDX, _mix) ^ rks[ROUNDS]
 
 
-def _encrypt_blocks(state, perms, rks):
-    bits = np.unpackbits(state ^ rks[0], axis=1)
-    state = np.packbits(bits.take(_bit_slots(perms)), axis=1)
-    return _rounds(state, rks[1:ROUNDS], _SBOX_NP, SHIFT_IDX,
-                   _mix) ^ rks[ROUNDS]
-
-
-def _decrypt_blocks(state, perms, rks):
+def _decrypt_blocks(state, stream, start, rks):
     # FIPS-197 equivalent inverse cipher: with InvMixColumns applied to
     # round keys 9..1, decryption runs the same round sequence as encryption.
     inner = _inv_mix(np.stack(rks[ROUNDS - 1:0:-1]))
     state = _rounds(state ^ rks[ROUNDS], inner, _INV_SBOX_NP, INV_SHIFT_IDX,
                     _inv_mix)
-    bits = np.empty(perms.shape, dtype=np.uint8)
-    bits.ravel()[_bit_slots(perms)] = np.unpackbits(state, axis=1)
-    return np.packbits(bits, axis=1) ^ rks[0]
+    return _permute(state, stream, start, inverse=True) ^ rks[0]
 
 
 def _aligned_blocks(data):
@@ -254,9 +311,9 @@ def _aligned_blocks(data):
 
 def _run_blocks(kernel, data, key, stream):
     """The payload pipeline: check alignment, expand the key, then per chunk
-    of CHUNK_BLOCKS blocks derive the permutations, run the kernel and write
-    the result into one preallocated output, so the working set stays
-    cache-sized and memory stays bounded whatever the payload size."""
+    of CHUNK_BLOCKS blocks run the kernel and write the result into one
+    preallocated output, so the working set stays cache-sized and memory
+    stays bounded whatever the payload size."""
     blocks = _aligned_blocks(data)
     if not blocks:
         return b""
@@ -265,8 +322,7 @@ def _run_blocks(kernel, data, key, stream):
     out = np.empty_like(state)
     for start in range(0, blocks, CHUNK_BLOCKS):
         stop = min(start + CHUNK_BLOCKS, blocks)
-        perms = derive_permutation_matrix(stream, stop - start, start)
-        out[start:stop] = kernel(state[start:stop], perms, rks)
+        out[start:stop] = kernel(state[start:stop], stream, start, rks)
     return out.tobytes()
 
 

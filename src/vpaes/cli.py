@@ -37,6 +37,7 @@ from .imageio import (
 from .keystream import KEY_BYTES, Key128, key_to_integer
 
 _KEY_MODULUS = 1 << 8 * KEY_BYTES
+_KEY_DIGITS = 2 * KEY_BYTES
 # The first class an error is an instance of picks the exit code.
 _EXIT_CODES = (
     (KeyFormatError, 2),
@@ -49,18 +50,18 @@ _EXIT_CODES = (
 
 
 def parse_key_hex(text):
-    """16 key bytes from 32 hex characters and nothing else between them
-    (``bytes.fromhex`` alone would skip embedded spaces).
+    """KEY_BYTES key bytes from 2·KEY_BYTES hex characters and nothing else
+    between them (``bytes.fromhex`` alone would skip embedded spaces).
 
-    A 31-character string is accepted as well (left-padded with one zero):
+    One character fewer is accepted as well (left-padded with one zero):
     some published key listings drop the leading zero.
     """
     t = text.strip()
-    if not re.fullmatch(r"[0-9a-fA-F]{31,32}", t):
+    if not re.fullmatch(f"[0-9a-fA-F]{{{_KEY_DIGITS - 1},{_KEY_DIGITS}}}", t):
         raise KeyFormatError(
-            f"key must be 32 hex digits and nothing else, got {len(t)} "
-            "characters")
-    data = bytes.fromhex(t.zfill(32))
+            f"key must be {_KEY_DIGITS} hex digits and nothing else, got "
+            f"{len(t)} characters")
+    data = bytes.fromhex(t.zfill(_KEY_DIGITS))
     if data == bytes(KEY_BYTES):
         raise KeyFormatError(
             "the all-zero key is invalid: it degenerates the keystream")
@@ -254,8 +255,9 @@ def _build_parser():
             p.add_argument("--out", dest="output", metavar="PATH",
                            help="write the report here instead of stdout")
         if key:
-            p.add_argument("--key", required=True, metavar="HEX32",
-                           help="128-bit key as 32 hex characters")
+            p.add_argument("--key", required=True, metavar=f"HEX{_KEY_DIGITS}",
+                           help=f"{8 * KEY_BYTES}-bit key as {_KEY_DIGITS} "
+                           "hex characters")
         if stats:
             p.add_argument("--alpha", type=float, default=0.01,
                            choices=[0.01, 0.001])

@@ -11,12 +11,14 @@ from conftest import FIPS_CIPHER, FIPS_KEY, FIPS_PLAIN
 from oracles import aes_ecb, aes_ecb_decrypt
 from vpaes import cipher
 from vpaes.cipher import (
+    _bit_rows,
     _decrypt_blocks,
     _encrypt_blocks,
     _inv_mix,
     _inv_mix_columns,
     _mix,
     _mix_columns,
+    _shuffle,
     decrypt_block,
     decrypt_payload,
     decrypt_payload_with_stream,
@@ -43,8 +45,10 @@ from vpaes.keystream import (
 )
 from vpaes.permgen import (
     Permutation,
+    apply_to_bits,
     coefficients_from_bytes,
     identity_permutation,
+    invert,
     permutation_from_coefficients,
 )
 
@@ -229,6 +233,61 @@ class TestPermutationMatrix:
             derive_permutation_matrix(stream, 2, -1)
 
 
+class TestShuffle:
+    # the fused pass: the selection steps run on rows of state bits, and
+    # derive_permutation_matrix runs the same steps on position numbers
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(STREAMS)), st.integers(1, 70),
+           st.sampled_from([0, 1, 127]), st.integers(0, 2**32))
+    def test_equals_gather_through_matrix_and_reverse_undoes(
+            self, source, blocks, start, seed):
+        stream = STREAMS[source](required_byte_count(start + blocks))
+        rows = _bit_rows(blocks)
+        rows[:] = np.random.default_rng(seed).integers(
+            0, 256, rows.shape, np.uint8)
+        before = rows.copy()
+        _shuffle(rows, stream, start, blocks)
+        matrix = derive_permutation_matrix(stream, blocks, start)
+        gathered = np.take_along_axis(
+            before[:, :blocks].T, matrix.astype(np.intp), axis=1)
+        assert np.array_equal(rows[::-1, :blocks].T, gathered)
+        assert np.array_equal(rows[:, blocks:], before[:, blocks:])
+        _shuffle(rows, stream, start, blocks, reverse=True)
+        assert np.array_equal(rows, before)
+
+    @pytest.fixture(scope="class")
+    def chunk_matrices(self):
+        blocks = 4096
+        streams = {name: make(required_byte_count(blocks))
+                   for name, make in STREAMS.items()}
+        return {name: (stream, derive_permutation_matrix(stream, blocks))
+                for name, stream in streams.items()}
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(STREAMS)), st.integers(0, 4095))
+    def test_full_chunk_matches_scalar_chain(self, chunk_matrices, source, j):
+        stream, matrix = chunk_matrices[source]
+        assert matrix.shape == (4096, 128)
+        scalar = permutation_from_coefficients(
+            coefficients_from_bytes(window(stream, j)))
+        assert tuple(matrix[j]) == scalar.mapping
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(sorted(STREAMS)), st.integers(1, 70),
+           st.sampled_from([encrypt_payload_with_stream,
+                            decrypt_payload_with_stream]))
+    def test_stream_one_byte_short_rejected(self, source, blocks, run):
+        stream = STREAMS[source](required_byte_count(blocks) - 1)
+        with pytest.raises(DomainError):
+            run(bytes(16 * blocks), TestPayload.KEY, stream)
+
+    @pytest.mark.parametrize(
+        "blocks", sorted({cipher.CHUNK_BLOCKS, *(2**k for k in range(17))}))
+    def test_row_stride_is_not_4k_aliased(self, blocks):
+        rows = _bit_rows(blocks)
+        assert rows.strides[0] % 4096
+
+
 # (width, height): 1x1 up to 48x48, or one row or one column of up to 400
 SHAPES = st.one_of(
     st.tuples(st.integers(1, 48), st.integers(1, 48)),
@@ -264,19 +323,36 @@ class TestPayload:
         assert decrypt_payload(data, self.KEY) == b"".join(
             decrypt_block(b, p, rk) for b, p in zip(blocks, perms))
 
-    @pytest.mark.parametrize(
-        "kernel, reference",
-        [(_encrypt_blocks, aes_ecb), (_decrypt_blocks, aes_ecb_decrypt)],
-        ids=["encrypt", "decrypt"])
-    def test_identity_permutations_reduce_to_ecb(self, kernel, reference):
+    # the all-0x00 stream gives every block the scalar permutation P00
+    P00 = permutation_from_coefficients(coefficients_from_bytes(bytes(127)))
+
+    @pytest.mark.parametrize("direction", ["encrypt", "decrypt"])
+    def test_identity_permutations_reduce_to_ecb(self, direction):
+        # one permutation for every block: the kernels are AES-128-ECB
+        # around one scalar bit permutation
         rng = random.Random(37)
         key = bytes(rng.randrange(256) for _ in range(16))
         data = bytes(rng.randrange(256) for _ in range(16 * 120))
         state = np.frombuffer(data, dtype=np.uint8).reshape(120, 16)
-        perms = np.tile(np.arange(128, dtype=np.uint8), (120, 1))
-        rks = [np.frombuffer(k, dtype=np.uint8)
-               for k in expand_key(Key128(key)).keys]
-        assert kernel(state, perms, rks).tobytes() == reference(key, data)
+        stream = FractionStream(bytes(required_byte_count(120)))
+        keys = expand_key(Key128(key)).keys
+        rks = [np.frombuffer(k, dtype=np.uint8) for k in keys]
+        blocks = [data[16 * j:16 * j + 16] for j in range(120)]
+
+        def whiten(b):
+            return bytes(x ^ y for x, y in zip(b, keys[0]))
+
+        if direction == "encrypt":
+            out = _encrypt_blocks(state, stream, 0, rks)
+            expected = [
+                aes_ecb(key, whiten(apply_to_bits(self.P00, whiten(b))))
+                for b in blocks]
+        else:
+            out = _decrypt_blocks(state, stream, 0, rks)
+            expected = [whiten(apply_to_bits(
+                invert(self.P00), whiten(aes_ecb_decrypt(key, b))))
+                for b in blocks]
+        assert out.tobytes() == b"".join(expected)
 
     def test_roundtrip(self):
         rng = random.Random(41)
@@ -401,3 +477,20 @@ class TestChunking:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 3 * 16 * 4 * chunk
+
+    @pytest.mark.parametrize("run", DIRECTIONS, ids=["encrypt", "decrypt"])
+    def test_peak_memory_beyond_input_and_output(self, run):
+        # beyond the output array and the returned bytes, a call holds one
+        # chunk's bit rows, slot table and round states: about 1 MiB
+        blocks = 4 * cipher.CHUNK_BLOCKS
+        rng = np.random.default_rng(59)
+        stream = FractionStream(rng.integers(
+            0, 256, required_byte_count(blocks), np.uint8).tobytes())
+        data = rng.integers(0, 256, 16 * blocks, np.uint8).tobytes()
+        tracemalloc.start()
+        try:
+            run(data, self.KEY, stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 2 * len(data) <= 2 * 2**20
