@@ -9,18 +9,18 @@ Payloads are processed as independent 16-byte blocks (a tweaked-codebook
 arrangement: the permutation is the tweak, derived from the block index via
 the sliding keystream window). ``encrypt_block``/``decrypt_block`` are the
 scalar reference; payload functions run a numpy path over chunks of
-CHUNK_BLOCKS blocks. Each chunk unpacks its state bits into position-major
-rows (row p holds bit p of every block) and runs the Durstenfeld selection
-pass on them in place: its swaps never look at the values they move, so
-this applies every block's permutation with no permutation matrix, and the
-same swaps in reverse order undo it. The chunk then runs the rounds and
-writes into one preallocated output, so time grows linearly with the
-payload and memory beyond input and output stays bounded. One round loop
-and one arithmetic MixColumns serve both directions: InvMixColumns is
-MixColumns after a (5,0,4,0) pre-pass (Daemen & Rijmen, The Design of
-Rijndael, 4.1.3). Both directions are tested byte-for-byte against the
-scalar composition and, with one permutation for every block, against
-AES-128-ECB around it.
+CHUNK_BLOCKS blocks held as byte rows (row k holds byte k of every block).
+The permutation unpacks them into bit rows and runs the Durstenfeld
+selection pass in place: its swaps never look at the values they move, so
+this applies every block's permutation with no matrix, and the same swaps
+in reverse order undo it. In the rounds ShiftRows and the MixColumns
+rotations are row moves, xtime is SWAR on uint64 words (eight byte lanes
+each), and SubBytes looks up byte pairs in a 65,536-entry table. One round
+loop and one MixColumns serve both directions: InvMixColumns is MixColumns
+after a (5,0,4,0) pre-pass (Daemen & Rijmen, The Design of Rijndael,
+4.1.3). Both directions are tested byte-for-byte against the scalar
+composition and, with one permutation for every block, against AES-128-ECB
+around it.
 """
 
 from dataclasses import dataclass
@@ -44,11 +44,8 @@ SBOX = bytes.fromhex(
     "ba78252e1ca6b4c6e8dd741f4bbd8b8a703eb5664803f60e613557b986c11d9e"
     "e1f8981169d98e949b1e87e9ce5528df8ca1890dbfe6426841992d0fb054bb16")
 
-_inv = bytearray(256)
-for _i, _v in enumerate(SBOX):
-    _inv[_v] = _i
-INV_SBOX = bytes(_inv)
-del _inv, _i, _v
+# byte v of INV_SBOX is the i with SBOX[i] == v
+INV_SBOX = bytes(sorted(range(256), key=SBOX.__getitem__))
 
 
 # G2[x] = 2·x in GF(2^8) modulo x^8 + x^4 + x^3 + x + 1 (xtime); G3[x] = 3·x.
@@ -154,17 +151,17 @@ def decrypt_block(block, perm, round_keys):
 # Vectorised payload path: one numpy array op per cipher step, every block of
 # a chunk at once.
 
-_SBOX_NP = np.frombuffer(SBOX, dtype=np.uint8)
-_INV_SBOX_NP = np.frombuffer(INV_SBOX, dtype=np.uint8)
+# SubBytes on byte pairs: entry a + 256·b is S[a] + 256·S[b], stored
+# little-endian so a '<u2' view of byte rows looks up two bytes at once (no
+# copy on little-endian hosts: freeing one raised peak RSS by about 0.5 MiB).
+_PAIR_SBOX, _PAIR_INV_SBOX = (
+    (s[:, None] << 8 | s).astype("<u2", copy=False).reshape(-1)
+    for s in (np.array(list(box), np.uint16) for box in (SBOX, INV_SBOX)))
 # _ROTATE[k][i]: the byte k rows further down byte i's column, cyclically.
 _ROTATE = {k: [i - i % 4 + (i + k) % 4 for i in range(16)] for k in (1, 2)}
 # Blocks per pass of the payload loop: a chunk's working set (about 1 MiB
-# at 4,096 blocks) stays near cache size. The first sweep tried only powers
-# of two, whose unpadded bit rows were all 4K-aliased. With padded rows,
-# encrypt at 512² took 0.80-0.82, 0.72-0.74, 0.68-0.70 and 0.72 µs per
-# block for 2,048, 4,096, 8,192 and 16,384 (medians of 9, two sweeps,
-# 2-core Xeon, CPython 3.11). 4,096 stays: 8,192 saves about 5% but doubles
-# the working set.
+# at 4,096 blocks) stays near cache size. In a sweep of 2,048 to 16,384
+# with padded bit rows, 8,192 saved about 5% but doubled the working set.
 CHUNK_BLOCKS = 4096
 # Bytes added to every bit row: a row stride that is a multiple of 4,096
 # bytes maps column j of every row to one cache set, which doubled the cost
@@ -189,27 +186,25 @@ def _bit_rows(blocks):
     return np.empty((BLOCK_BITS, -(-blocks // 8) * 8 + _ROW_PAD), np.uint8)
 
 
-def _permute(state, stream, start, inverse=False):
-    """Every block's bit permutation, or its inverse, on (n, 16) states.
+def _permute(byte_rows, stream, start, blocks, inverse=False):
+    """Every block's bit permutation, or its inverse, on byte rows.
 
     The bits go into position-major rows (bit 0 is the MSB of byte 0),
     _shuffle permutes the rows in place, and they are packed back. Output
     bit q sits in row 127-q, so the forward direction reads the rows in
     reverse order and the inverse writes them in reverse order.
     """
-    n = len(state)
-    rows = _bit_rows(n)
+    rows = _bit_rows(blocks)
     # [k, b] is row 8k + b; reversing both axes reverses the rows
-    words = rows.view(np.uint64).reshape(BLOCK_BYTES, 8, -1)
+    words = rows.view(np.uint64).reshape(BLOCK_BYTES, 8, -1)[
+        ..., :byte_rows.shape[1] // 8]
     flipped = words[::-1, ::-1]
     into, out_of = (flipped, words) if inverse else (words, flipped)
-    byte_rows = np.empty((BLOCK_BYTES, rows.shape[1]), np.uint8)
-    byte_rows[:, :n] = state.T
     np.right_shift(byte_rows.view(np.uint64)[:, None], _BIT_SHIFTS, out=into)
     into &= _LOW_BITS
-    _shuffle(rows, stream, start, n, reverse=inverse)
+    _shuffle(rows, stream, start, blocks, reverse=inverse)
     out_of <<= _BIT_SHIFTS
-    return np.bitwise_or.reduce(out_of, axis=1).view(np.uint8)[:, :n].T
+    return np.bitwise_or.reduce(out_of, axis=1).view(np.uint8)
 
 
 def _shuffle(rows, stream, start, blocks, reverse=False):
@@ -260,46 +255,49 @@ def derive_permutation_matrix(stream, blocks, start=0):
     return rows[::-1, :blocks].T
 
 
-def _xtime(a):
-    """Multiplication by x (that is, by 2) in GF(2^8) on a uint8 array."""
-    return (a << 1) ^ ((a >> 7) * 0x1B)
+def _xtime(rows):
+    """Multiplication by x (that is, by 2) in GF(2^8) on byte rows, as SWAR
+    on their uint64 view: eight byte lanes per word, no carry across lanes."""
+    words = rows.view(np.uint64)
+    high = words & np.uint64(0x8080808080808080)
+    out = (words ^ high) << np.uint64(1)
+    out ^= (high >> np.uint64(7)) * np.uint64(0x1B)
+    return out.view(np.uint8)
 
 
-def _mix(state):
-    """MixColumns of (n, 16) states. Output byte r of a column is
+def _mix(rows):
+    """MixColumns of byte rows. Output byte r of a column is
     xtime(p_r) ^ a_r+1 ^ p_r+2, where p_r = a_r ^ a_r+1."""
-    down = state[:, _ROTATE[1]]
-    pair = state ^ down
-    return _xtime(pair) ^ down ^ pair[:, _ROTATE[2]]
+    down = rows.take(_ROTATE[1], axis=0)
+    pair = rows ^ down
+    return _xtime(pair) ^ down ^ pair.take(_ROTATE[2], axis=0)
 
 
-def _inv_mix(state):
+def _inv_mix(rows):
     """InvMixColumns: MixColumns after the pre-pass a_r ^= 4·(a_r ^ a_r+2)."""
-    return _mix(state ^ _xtime(_xtime(state ^ state[:, _ROTATE[2]])))
+    return _mix(rows ^ _xtime(_xtime(rows ^ rows.take(_ROTATE[2], axis=0))))
 
 
-def _rounds(state, rks, sbox, shift, mix):
-    """AES rounds 1..10 in one direction: a full round (Sub, Shift, Mix,
-    AddKey) per key in `rks`, then Sub and Shift; the caller adds the outer
-    round keys."""
-    for rk in rks:
-        state = mix(sbox.take(state)[:, shift]) ^ rk
-    # column-major, so the byte-major copy in decrypt's _permute is cheap
-    return sbox.take(state)[:, shift]
+def _rounds(rows, keys, sbox, shift, mix):
+    """AES rounds 1..10 in one direction on byte rows: a full round (Sub,
+    Shift, Mix, AddKey) per (16, 1) key column in `keys`, then Sub and
+    Shift. ShiftRows and the rotations in `mix` are row moves."""
+    for key in keys:
+        rows = mix(sbox.take(rows.view("<u2")).view(np.uint8).take(
+            shift, axis=0)) ^ key
+    return sbox.take(rows.view("<u2")).view(np.uint8).take(shift, axis=0)
 
 
-def _encrypt_blocks(state, stream, start, rks):
-    return _rounds(_permute(state ^ rks[0], stream, start), rks[1:ROUNDS],
-                   _SBOX_NP, SHIFT_IDX, _mix) ^ rks[ROUNDS]
+# The kernels run one chunk's byte rows from the first round key's XOR to
+# just before the last one's; keys holds the nine inner keys in their order.
+def _encrypt_rows(rows, stream, start, blocks, keys):
+    rows = _permute(rows, stream, start, blocks)
+    return _rounds(rows, keys, _PAIR_SBOX, SHIFT_IDX, _mix)
 
 
-def _decrypt_blocks(state, stream, start, rks):
-    # FIPS-197 equivalent inverse cipher: with InvMixColumns applied to
-    # round keys 9..1, decryption runs the same round sequence as encryption.
-    inner = _inv_mix(np.stack(rks[ROUNDS - 1:0:-1]))
-    state = _rounds(state ^ rks[ROUNDS], inner, _INV_SBOX_NP, INV_SHIFT_IDX,
-                    _inv_mix)
-    return _permute(state, stream, start, inverse=True) ^ rks[0]
+def _decrypt_rows(rows, stream, start, blocks, keys):
+    rows = _rounds(rows, keys, _PAIR_INV_SBOX, INV_SHIFT_IDX, _inv_mix)
+    return _permute(rows, stream, start, blocks, inverse=True)
 
 
 def _aligned_blocks(data):
@@ -309,30 +307,41 @@ def _aligned_blocks(data):
     return len(data) // BLOCK_BYTES
 
 
-def _run_blocks(kernel, data, key, stream):
-    """The payload pipeline: check alignment, expand the key, then per chunk
-    of CHUNK_BLOCKS blocks run the kernel and write the result into one
-    preallocated output, so the working set stays cache-sized and memory
-    stays bounded whatever the payload size."""
+def _run_blocks(data, key, stream, inverse=False):
+    """The payload pipeline. Round keys become (16, 1) columns in the order
+    they are added; decryption is the FIPS-197 equivalent inverse cipher
+    (InvMixColumns applied to round keys 9..1), so both directions run the
+    same round sequence. Each chunk of CHUNK_BLOCKS blocks is transposed
+    into byte rows (16, W) with the first key's XOR (row k holds byte k of
+    every block; W is n in whole uint64 words) and back with the last key's
+    XOR into one preallocated output, so the working set stays cache-sized
+    and memory stays bounded whatever the payload size."""
     blocks = _aligned_blocks(data)
     if not blocks:
         return b""
     state = np.frombuffer(data, dtype=np.uint8).reshape(blocks, BLOCK_BYTES)
-    rks = [np.frombuffer(k, dtype=np.uint8) for k in expand_key(key).keys]
+    keys = expand_key(key).keys
+    if inverse:
+        keys = (keys[ROUNDS], *map(_inv_mix_columns, keys[9:0:-1]), keys[0])
+    keys = np.frombuffer(b"".join(keys), np.uint8).reshape(-1, BLOCK_BYTES, 1)
+    kernel = _decrypt_rows if inverse else _encrypt_rows
     out = np.empty_like(state)
     for start in range(0, blocks, CHUNK_BLOCKS):
-        stop = min(start + CHUNK_BLOCKS, blocks)
-        out[start:stop] = kernel(state[start:stop], stream, start, rks)
+        n = min(CHUNK_BLOCKS, blocks - start)
+        rows = np.empty((BLOCK_BYTES, -(-n // 8) * 8), np.uint8)
+        np.bitwise_xor(state[start:start + n].T, keys[0], out=rows[:, :n])
+        rows = kernel(rows, stream, start, n, keys[1:ROUNDS])
+        np.bitwise_xor(rows[:, :n].T, keys[ROUNDS].T, out=out[start:start + n])
     return out.tobytes()
 
 
 def encrypt_payload_with_stream(data, key, stream):
     """Encrypt an aligned payload using an already-materialised stream."""
-    return _run_blocks(_encrypt_blocks, data, key, stream)
+    return _run_blocks(data, key, stream)
 
 
 def decrypt_payload_with_stream(data, key, stream):
-    return _run_blocks(_decrypt_blocks, data, key, stream)
+    return _run_blocks(data, key, stream, inverse=True)
 
 
 def _stream_for(key, data):

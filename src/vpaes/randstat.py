@@ -191,8 +191,9 @@ def spectral_dft_test(bits, alpha=0.01, channel=""):
     if n % 2:
         bits = bits[:-1]
         n -= 1
-    x = bits.astype(np.float64) * 2.0 - 1.0
-    moduli = np.abs(np.fft.rfft(x)[1:n // 2])
+    x = bits * 2.0  # the +/-1 sequence in one float64 buffer, which then
+    x -= 1.0  # holds the moduli: the traced peak stays near 2 * 8n bytes
+    moduli = np.abs(np.fft.rfft(x)[1:n // 2], out=x[:n // 2 - 1])
     threshold = math.sqrt(n * math.log(1.0 / 0.05))
     n1 = int(np.count_nonzero(moduli < threshold))
     n0 = 0.95 * n / 2.0

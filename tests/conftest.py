@@ -1,7 +1,9 @@
+import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vpaes.imageio import ImageBuffer
 from vpaes.keystream import Key128
@@ -9,6 +11,15 @@ from vpaes.keystream import Key128
 FIPS_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 FIPS_PLAIN = bytes.fromhex("3243f6a8885a308d313198a2e0370734")
 FIPS_CIPHER = bytes.fromhex("3925841d02dc09fbdc118597196a0b32")
+
+# On CI a failing property prints the blob that reproduces it (run it with
+# @reproduce_failure) and keeps no example database. The profile derives
+# from "default", not from Hypothesis's own CI profile, which derandomizes:
+# max_examples stays and every run draws new examples.
+settings.register_profile("ci", settings.get_profile("default"),
+                          print_blob=True, database=None)
+if "CI" in os.environ:
+    settings.load_profile("ci")
 
 # one line per acceptance criterion, printed at the end of the run
 ACCEPTANCE_LINES = []

@@ -12,8 +12,8 @@ from oracles import aes_ecb, aes_ecb_decrypt
 from vpaes import cipher
 from vpaes.cipher import (
     _bit_rows,
-    _decrypt_blocks,
-    _encrypt_blocks,
+    _decrypt_rows,
+    _encrypt_rows,
     _inv_mix,
     _inv_mix_columns,
     _mix,
@@ -157,8 +157,12 @@ class TestBatchMix:
     # 256 states every position takes every byte value
     STATES = ((np.arange(16) + 17 * np.arange(256)[:, None]) % 256).astype(
         np.uint8)
-    # the round loop hands the mix column-major states
-    LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray}
+    # byte rows (row k holds byte k of every state): C-contiguous, or a
+    # slice whose row stride includes the bit rows' pad
+    LAYOUTS = {
+        "C": lambda states: np.ascontiguousarray(states.T),
+        "padded": lambda states: np.pad(
+            states.T, ((0, 0), (0, cipher._ROW_PAD)))[:, :len(states)]}
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize(
@@ -166,9 +170,12 @@ class TestBatchMix:
         [(_mix, _mix_columns), (_inv_mix, _inv_mix_columns)],
         ids=["mix", "inv_mix"])
     def test_equals_scalar_row_by_row(self, batch, scalar, layout):
-        out = batch(self.LAYOUTS[layout](self.STATES))
-        for row, state in zip(out, self.STATES):
-            assert row.tobytes() == scalar(state.tobytes())
+        # column by column: column j of the rows is state j
+        rows = self.LAYOUTS[layout](self.STATES)
+        out = batch(rows)
+        assert out.shape == rows.shape
+        for column, state in zip(out.T, self.STATES):
+            assert column.tobytes() == scalar(state.tobytes())
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS) + ["scalar"])
     def test_inv_mix_undoes_mix(self, layout):
@@ -177,8 +184,8 @@ class TestBatchMix:
                 s = state.tobytes()
                 assert _inv_mix_columns(_mix_columns(s)) == s
             return
-        states = self.LAYOUTS[layout](self.STATES)
-        assert np.array_equal(_inv_mix(_mix(states)), self.STATES)
+        rows = self.LAYOUTS[layout](self.STATES)
+        assert np.array_equal(_inv_mix(_mix(rows)), self.STATES.T)
 
 
 STREAMS = {
@@ -288,6 +295,41 @@ class TestShuffle:
         assert rows.strides[0] % 4096
 
 
+class TestRowKernels:
+    KEYS = expand_key(Key128(bytes(range(1, 17))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(STREAMS)), st.integers(1, 70),
+           st.sampled_from([0, 1, 127]), st.booleans(), st.integers(0, 2**32))
+    def test_kernels_equal_scalar_composition(
+            self, source, blocks, start, inverse, seed):
+        # a kernel takes byte rows after the first round key's XOR and stops
+        # before the last one's; the pad columns up to whole uint64 words
+        # hold random bytes too, which must not reach the blocks
+        stream = STREAMS[source](required_byte_count(start + blocks))
+        keys = self.KEYS.keys
+        rows = np.random.default_rng(seed).integers(
+            0, 256, (16, -(-blocks // 8) * 8), np.uint8)
+        if inverse:
+            outer = keys[10], keys[0]
+            inner = [_inv_mix_columns(k) for k in keys[9:0:-1]]
+            kernel, scalar = _decrypt_rows, decrypt_block
+        else:
+            outer = keys[0], keys[10]
+            inner = keys[1:10]
+            kernel, scalar = _encrypt_rows, encrypt_block
+        out = kernel(rows.copy(), stream, start, blocks, np.frombuffer(
+            b"".join(inner), np.uint8).reshape(9, 16, 1))
+        assert out.shape == rows.shape
+        for j in range(blocks):
+            perm = permutation_from_coefficients(
+                coefficients_from_bytes(window(stream, start + j)))
+            block = bytes(x ^ y for x, y in zip(rows[:, j], outer[0]))
+            expected = bytes(x ^ y for x, y in zip(
+                scalar(block, perm, self.KEYS), outer[1]))
+            assert out[:, j].tobytes() == expected
+
+
 # (width, height): 1x1 up to 48x48, or one row or one column of up to 400
 SHAPES = st.one_of(
     st.tuples(st.integers(1, 48), st.integers(1, 48)),
@@ -328,31 +370,29 @@ class TestPayload:
 
     @pytest.mark.parametrize("direction", ["encrypt", "decrypt"])
     def test_identity_permutations_reduce_to_ecb(self, direction):
-        # one permutation for every block: the kernels are AES-128-ECB
+        # one permutation for every block: the payload path is AES-128-ECB
         # around one scalar bit permutation
         rng = random.Random(37)
         key = bytes(rng.randrange(256) for _ in range(16))
         data = bytes(rng.randrange(256) for _ in range(16 * 120))
-        state = np.frombuffer(data, dtype=np.uint8).reshape(120, 16)
         stream = FractionStream(bytes(required_byte_count(120)))
-        keys = expand_key(Key128(key)).keys
-        rks = [np.frombuffer(k, dtype=np.uint8) for k in keys]
+        rk0 = expand_key(Key128(key)).keys[0]
         blocks = [data[16 * j:16 * j + 16] for j in range(120)]
 
         def whiten(b):
-            return bytes(x ^ y for x, y in zip(b, keys[0]))
+            return bytes(x ^ y for x, y in zip(b, rk0))
 
         if direction == "encrypt":
-            out = _encrypt_blocks(state, stream, 0, rks)
+            out = encrypt_payload_with_stream(data, Key128(key), stream)
             expected = [
                 aes_ecb(key, whiten(apply_to_bits(self.P00, whiten(b))))
                 for b in blocks]
         else:
-            out = _decrypt_blocks(state, stream, 0, rks)
+            out = decrypt_payload_with_stream(data, Key128(key), stream)
             expected = [whiten(apply_to_bits(
                 invert(self.P00), whiten(aes_ecb_decrypt(key, b))))
                 for b in blocks]
-        assert out.tobytes() == b"".join(expected)
+        assert out == b"".join(expected)
 
     def test_roundtrip(self):
         rng = random.Random(41)

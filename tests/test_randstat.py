@@ -1,7 +1,9 @@
+import hashlib
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -232,6 +234,24 @@ class TestSpectral:
     def test_too_short_rejected(self):
         with pytest.raises(PreconditionError):
             spectral_dft_test(np.zeros(999, dtype=np.uint8))
+
+    def test_frozen_values_and_traced_peak(self):
+        # a fixed 2^21-bit input: N1 and d are frozen, and the traced peak
+        # stays near two float64 buffers of its length (the +/-1 sequence
+        # and the spectrum); building the sequence as astype * 2.0 - 1.0
+        # peaked at 2.5 of them
+        bits = np.unpackbits(np.frombuffer(hashlib.shake_256(
+            b"vpaes spectral peak").digest(2**18), dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            report = spectral_dft_test(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.extras["n1"] == 996_107
+        assert report.statistic == pytest.approx(-0.25473832536910546,
+                                                 rel=1e-12)
+        assert peak <= 2.1 * 8 * len(bits)
 
 
 class TestChiSquareTone:
