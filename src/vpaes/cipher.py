@@ -24,6 +24,7 @@ around it.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -207,6 +208,14 @@ def _permute(byte_rows, stream, start, blocks, inverse=False):
     return np.bitwise_or.reduce(out_of, axis=1).view(np.uint8)
 
 
+@lru_cache(maxsize=2)  # full chunks and the last chunk of a payload
+def _slot_table(stride):
+    """_DIGITS as shared, read-only byte offsets into rows `stride` apart."""
+    table = np.multiply(_DIGITS, stride, dtype=np.intp)
+    table.flags.writeable = False
+    return table
+
+
 def _shuffle(rows, stream, start, blocks, reverse=False):
     """The selection pass of blocks start..start+blocks-1, in place on the
     position-major arrangement `rows`; reverse=True undoes it.
@@ -225,7 +234,7 @@ def _shuffle(rows, stream, start, blocks, reverse=False):
     raw = np.frombuffer(stream.data, dtype=np.uint8)[
         start:start + blocks + WINDOW_BYTES - 1].astype(np.intp)
     flat = rows.reshape(-1)
-    slot_table = np.multiply(_DIGITS, rows.strides[0], dtype=np.intp)
+    slot_table = _slot_table(rows.strides[0])
     columns = np.arange(blocks)
     steps = range(WINDOW_BYTES)
     for i in reversed(steps) if reverse else steps:

@@ -5,42 +5,41 @@ Every encryption consumes a prefix of this stream; block j reads the sliding
 127-byte window starting at byte j, so a payload of B blocks needs B + 126
 bytes in total.
 
-pi is computed in-process as a binary fixed-point integer from the
-Chudnovsky series (Chudnovsky & Chudnovsky, 1988)
+pi comes from the Chudnovsky series (Chudnovsky & Chudnovsky, 1988)
 
     1/pi = 12 * sum_k (-1)^k (6k)! (A + B k) / ((3k)! (k!)^3 C^(3k+3/2)),
     A = 13591409, B = 545140134, C = 640320.
 
-Binary splitting (Haible & Papanikolaou, 1998) sums its first N terms
-exactly as T/Q, so pi = 426880 sqrt(10005) Q / T. The two big operations
-after the split are Newton iterations on plain int multiplication (Brent &
-Zimmermann, *Modern Computer Arithmetic*, §1.5.2 and §3.4-3.5): `_div`
-multiplies by a Newton reciprocal, and `_sqrtrem` takes one Newton step per
-level from the root of the top half (Karatsuba square root). Each ends in an
-exact remainder correction, so both are true floors, equal to `//` and
-`math.isqrt`, whose CPython versions are quadratic in the operand size.
+Binary splitting (Haible & Papanikolaou, 1998) sums its first N = p // 47 + 2
+terms exactly as T/Q, so pi = 426880 sqrt(10005) Q / T = K r Q / T with
+K = 426880 * 10005 and r = 1/sqrt(10005). The big arithmetic is libmpdec, the
+C `decimal` module (exact number-theoretic products, correctly rounded
+division), called through private contexts: the thread's decimal context is
+never read or changed. Without `_decimal`, computing pi raises VpaesError.
 
-`_pi_fixed(p)` returns floor(426880 * s * Q' / T') with s = isqrt(10005 *
-4^p), N = p // 47 + 2 terms, and Q', T' the top bits of Q and T. Its
-distance from pi * 2^p is below 1.04 ulp:
+`_pi_fixed(p)` returns floor(z), z = fl(fl(fl(fl(K Q) / fl(T)) r') 2^p), where
+fl rounds half-even to D = floor(0.30103 p) + 8 digits (10^D >= 2^p 10^7),
+off by a relative u = 5 * 10^-D at most. It is within 1.001 ulp of pi * 2^p:
   - series tail: the terms alternate and shrink, so the tail is below the
-    first omitted term, at most (A + B N) * (1728 / C^3)^N < (A + B N) *
-    2^(-47 N) <= (A + B N) * 2^-(p + 48). The partial sums stay above
-    A - 1, so this moves pi * 2^p by less than 4 (1 + 41 N) 2^-48, below
-    2^-10 ulp for N < 2^30;
-  - square root: s is at most 1 below sqrt(10005) 2^p, which moves the
-    result by at most 426880 / (A - 1), pi / sqrt(10005) to six digits:
-    < 0.032 ulp;
-  - truncating Q and T to at least p + 64 bits changes Q / T by a relative
-    2^-(p + 62), below 2^-60 ulp;
+    first omitted term, (A + B N) (1728 / C^3)^N < (A + B N) 2^-(p + 48).
+    The partial sums stay above A - 1, so this moves pi * 2^p by less than
+    4 (1 + 41 N) 2^-48, below 2^-10 ulp for N < 2^30;
+  - root: r' comes from Newton steps x' = x + x e / 2, e = 1 - 10005 x^2,
+    at precisions p_i <= 2 p_(i-1) - 3 digits up to D, from the float root
+    (relative error below 10^-15 <= 10^(1-p_0)). From x = r (1 + d) a step
+    gives r (1 - 3 d^2 / 2 - d^3 / 2), and its four roundings add at most
+    1.51 u_i, so |d_i| <= 1.51 d_(i-1)^2 + 7.6 * 10^-p_i <= 10^(1-p_i), and
+    |d| < 8 * 10^-D after the last step;
+  - rounding: the five fl and the root put z within a relative 34 * 10^-D,
+    under 4 * 34 * 10^-7 < 2^-16 ulp (2^p itself is exact);
   - the floor adds less than 1 ulp.
-pi does not depend on the key, so the most precise pi computed so far is
-cached; a request at the same or a smaller precision is that value shifted
-right, and a larger one recomputes and replaces it. Nested floors compose,
-so any value served is floor(_pi_fixed(P) / 2^j) for some j >= 0: at most
-1.04 / 2 + 1 < 1.53 ulp off when j >= 1, which is the bound PI_ERROR_ULPS
-states. The cache is filled at the precision a full 128-bit key needs, so
-every key at the same stream length is served from it;
+
+pi does not depend on the key, so the most precise pi so far is cached: a
+request at the same or a smaller precision is served shifted right, and a
+larger one replaces it. Nested floors compose, so a value served is
+floor(_pi_fixed(P) / 2^j), j >= 0, at most 1.001 / 2 + 1 < 1.51 ulp off,
+the bound PI_ERROR_ULPS states. The cache is filled at a full 128-bit key's
+precision, so every key at one stream length shares it;
 `pi_fraction_bytes.cache_clear()` empties it together with the stream cache.
 
 All emitted bytes are exact: the working precision carries ``bitlen(l) +
@@ -54,24 +53,26 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, VpaesError
 from .permgen import WINDOW_BYTES
+
+try:
+    from _decimal import (
+        MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_FLOOR, ROUND_HALF_EVEN, Context,
+        DivisionByZero, InvalidOperation, Overflow)
+except ImportError:  # pure-Python decimal only: _pi_fixed refuses to run
+    Context = None
 
 KEY_BYTES = 16
 GUARD_BITS = 64
 
-# Any pi served at scale 2^prec is within 1.53 ulp of pi * 2^prec (module
-# docstring).
+# Any pi served at scale 2^prec is within 1.51 ulp (module docstring).
 PI_ERROR_ULPS = 2
-
-# Operands whose quotient or root has at most this many bits go to CPython's
-# `//` and math.isqrt; above it the Newton kernels are faster.
-_NEWTON_BITS = 1 << 14
-# Extra bits the Newton reciprocal carries beyond the precision it returns.
-_SLACK = 32
 
 # Chudnovsky constants: A, B and C^3 / 24.
 _A, _B, _C3_24 = 13591409, 545140134, 640320 ** 3 // 24
+_LEAF_TERMS = 100  # most terms in one int leaf of the split
+_STR_DIGITS = 512  # _to_int's str pieces: under 640, the least int/str limit
 
 
 @dataclass(frozen=True)
@@ -118,70 +119,10 @@ def window(stream, j):
     return stream.data[j:j + WINDOW_BYTES]
 
 
-def _reciprocal(d, k):
-    """About 2^(n + k) / d for n = d.bit_length(), within a few units.
-
-    Only the top k + _SLACK bits of d matter. Above _NEWTON_BITS, one Newton
-    step x += x (2^(n+k) - d x) / 2^(n+k) doubles the correct bits of the
-    reciprocal at half the precision; its residual is small, so both
-    factors of the correction are truncated to about k/2 bits.
-    """
-    n = d.bit_length()
-    if n > k + _SLACK:
-        d >>= n - k - _SLACK
-        n = k + _SLACK
-    if k <= _NEWTON_BITS:
-        return (1 << (n + k)) // d
-    h = k // 2 + _SLACK
-    y = _reciprocal(d, h)
-    residual = (1 << (n + h)) - d * y
-    ys, rs = 2 * h - k - 5, max(0, n + h - k - 4)
-    step = ((y >> ys) * (residual >> rs)) >> (n + 2 * h - k - ys - rs)
-    return (y << (k - h)) + step
-
-
-def _div(num, d):
-    """floor(num / d) for num >= 0 and d > 0, equal to num // d.
-
-    The quotient is the top bits of num times a Newton reciprocal of d, and
-    the exact remainder corrects its last few units.
-    """
-    n = d.bit_length()
-    k = num.bit_length() - n + 1
-    if min(k, n) <= _NEWTON_BITS:
-        return num // d
-    x = _reciprocal(d, k + _SLACK)
-    cut = num.bit_length() - k - 2 * _SLACK
-    q = ((num >> cut) * x) >> (n + k + _SLACK - cut)
-    return q + (num - q * d) // d
-
-
-def _sqrtrem(m):
-    """(s, m - s^2) for s = floor(sqrt(m)) = math.isqrt(m), m >= 0.
-
-    Karatsuba square root: with s1 the root of the top half of m, s = s1 2^b
-    + q is one Newton step x + (m - x^2) / (2x) from x = s1 2^b, with q a
-    `_div`. The remainder is exact, and at most one unit comes off s.
-    """
-    if m.bit_length() <= 2 * _NEWTON_BITS:
-        s = math.isqrt(m)
-        return s, m - s * s
-    b = m.bit_length() // 4
-    s1, r1 = _sqrtrem(m >> 2 * b)
-    num = (r1 << b) + ((m >> b) & ((1 << b) - 1))
-    q = _div(num, 2 * s1)
-    s = (s1 << b) + q
-    r = ((num - 2 * s1 * q) << b) + (m & ((1 << b) - 1)) - q * q
-    while r < 0:
-        s -= 1
-        r += 2 * s + 1
-    return s, r
-
-
 def _chudnovsky_split(a, b):
     """(P, Q, T) of the terms a..b-1 of the Chudnovsky sum: their sum is
-    P(0,a) T / (Q(0,a) Q), and T carries the signs. Leaves stay word-sized;
-    big products appear only at merges."""
+    P(0,a) T / (Q(0,a) Q), and T carries the signs. Ranges of up to
+    _LEAF_TERMS terms merge as ints, larger ones as exact Decimals."""
     if b - a == 1:
         if a == 0:
             return 1, 1, _A
@@ -191,15 +132,64 @@ def _chudnovsky_split(a, b):
     mid = (a + b) // 2
     p1, q1, t1 = _chudnovsky_split(a, mid)
     p2, q2, t2 = _chudnovsky_split(mid, b)
-    return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
+    if b - a <= _LEAF_TERMS:
+        return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
+    mul = _EXACT.multiply
+    return mul(p1, p2), mul(q1, q2), _EXACT.add(mul(q2, t1), mul(p1, t2))
+
+
+def _context(prec, rounding):
+    """A context that takes no setting from the thread's or DefaultContext."""
+    return Context(prec=prec, rounding=rounding, Emin=MIN_EMIN, Emax=MAX_EMAX,
+                   traps=[InvalidOperation, DivisionByZero, Overflow])
+
+
+# Exact: no value here nears MAX_PREC digits, so only the floors round.
+_EXACT = _context(MAX_PREC, ROUND_FLOOR) if Context else None
+
+
+def _inv_sqrt_10005(digits):
+    """1/sqrt(10005) within a relative 8 * 10^-digits by Newton steps
+    (module docstring); Decimal.sqrt was 77 times slower at 10^5 digits."""
+    if digits <= 16:
+        return _EXACT.create_decimal_from_float(1 / math.sqrt(10005))
+    x = _inv_sqrt_10005((digits + 4) // 2)
+    ctx = _context(digits, ROUND_HALF_EVEN)
+    e = ctx.fma(ctx.multiply(x, x), -10005, 1)
+    return ctx.fma(x, ctx.divide(e, 2), x)
+
+
+def _to_int(d):
+    """floor(d) as an int, for a finite Decimal d >= 0. int(d) is quadratic,
+    so scaleb and floor halve d at powers of ten 10^(_STR_DIGITS 2^j), int
+    powers built by squaring join the halves, and only short pieces go
+    through strings (Brent & Zimmermann, *Modern Computer Arithmetic*, §1.7).
+    """
+    d = _EXACT.quantize(d, 1)
+    powers = [10 ** _STR_DIGITS]
+    while _STR_DIGITS << len(powers) <= d.adjusted():
+        powers.append(powers[-1] ** 2)
+    def join(d, j):
+        # d < 10^(_STR_DIGITS 2^(j+1)), and its exponent is 0
+        if d.adjusted() < _STR_DIGITS:
+            return int(_EXACT.to_sci_string(d))
+        shift = _STR_DIGITS << j
+        high = _EXACT.to_integral_value(_EXACT.scaleb(d, -shift))
+        low = _EXACT.subtract(d, _EXACT.scaleb(high, shift))
+        return join(high, j - 1) * powers[j] + join(low, j - 1)
+    return join(d, len(powers) - 1)
 
 
 def _pi_fixed(prec):
-    """pi at scale 2^prec, within 1.04 ulp of the true value."""
+    """pi at scale 2^prec, within 1.001 ulp of the true value."""
+    if Context is None:
+        raise VpaesError("pi needs CPython's C decimal module, _decimal")
+    digits = prec * 30103 // 100000 + 8
+    ctx = _context(digits, ROUND_HALF_EVEN)
     _, q, t = _chudnovsky_split(0, prec // 47 + 2)
-    cut = max(0, q.bit_length() - prec - 64)
-    s, _ = _sqrtrem(10005 << 2 * prec)
-    return _div(426880 * s * (q >> cut), t >> cut)
+    ratio = ctx.divide(ctx.multiply(q, 426880 * 10005), ctx.plus(t))
+    pi = ctx.multiply(ratio, _inv_sqrt_10005(digits))
+    return _to_int(ctx.multiply(pi, _EXACT.power(2, prec)))
 
 
 # [precision, pi at that scale] of the most precise pi computed so far.

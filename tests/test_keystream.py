@@ -1,10 +1,17 @@
+import decimal
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+from contextlib import contextmanager
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import mp_frac_bytes, pi_fraction_bytes_bbp
@@ -21,7 +28,6 @@ from vpaes.keystream import (
 
 # the acceptance suite's reference key
 REFERENCE_KEY = Key128(bytes.fromhex("0123456789abcdeffedcba9876543210"))
-NEWTON_BITS = keystream._NEWTON_BITS
 
 
 @pytest.fixture
@@ -140,85 +146,126 @@ class TestPiFractionBytes:
 
     @pytest.mark.parametrize("seed", [None, 4, 5])
     def test_exactness_above_newton_threshold(self, seed):
-        # 6000 bytes need about 48 kbit of pi: the division and the square
-        # root both run their Newton iterations
+        # 6000 bytes need about 48 kbit of pi, 14,500 digits: the root takes
+        # eleven Newton steps, _to_int splits five levels deep, and the
+        # split merges Decimals above its int leaves
         l = 1 if seed is None else key_l(random.Random(seed))
-        assert 8 * 6000 > 2 * NEWTON_BITS
+        assert 8 * 6000 // 47 > keystream._LEAF_TERMS
+        assert 0.3 * 8 * 6000 > keystream._STR_DIGITS << 4
         assert pi_fraction_bytes(l, 6000).data == mp_frac_bytes(l, 6000)
 
 
-def _operand_sizes():
-    return [NEWTON_BITS - 1, NEWTON_BITS, NEWTON_BITS + 1, 3 * NEWTON_BITS]
+@contextmanager
+def unlimited_int_str():
+    """Lift the interpreter's limit on int/str conversion digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestToInt:
+    @settings(max_examples=40, deadline=None)
+    @given(digits=st.integers(1, 50_000), seed=st.integers(0, 2 ** 32),
+           form=st.sampled_from(["random", "10^k", "10^k - 1"]))
+    @example(digits=50_000, seed=0, form="random")
+    @example(digits=keystream._STR_DIGITS << 5, seed=0, form="10^k")
+    @example(digits=keystream._STR_DIGITS << 5, seed=0, form="10^k - 1")
+    def test_equals_int_of_str(self, digits, seed, form):
+        if form == "random":
+            rng = random.Random(seed)
+            text = str(rng.randrange(1, 10)) + "".join(
+                rng.choices("0123456789", k=digits - 1))
+        else:
+            text = "1" + "0" * digits if form == "10^k" else "9" * digits
+        d = Decimal(text)
+        with unlimited_int_str():
+            assert keystream._to_int(d) == int(str(d))
+
+    @pytest.mark.parametrize("text, expected", [
+        ("0", 0), ("0.999", 0), ("12.5", 12), ("1E+3", 1000),
+        ("4.2E+600", 42 * 10 ** 599), ("1" * 1200 + ".75", int("1" * 1200))])
+    def test_floors_any_exponent(self, text, expected):
+        assert keystream._to_int(Decimal(text)) == expected
 
 
 class TestNewtonKernels:
-    @pytest.mark.parametrize("bits", _operand_sizes())
-    def test_div_equals_floor_division(self, bits):
-        rng = random.Random(bits)
-        for d_bits, q_bits in ((bits, bits), (bits, 3 * bits),
-                               (3 * bits, bits), (bits + 40, bits)):
-            d = rng.getrandbits(d_bits) | (1 << (d_bits - 1))
-            num = rng.getrandbits(d_bits + q_bits)
-            assert keystream._div(num, d) == num // d
+    @pytest.mark.parametrize("digits", [1, 16, 17, 30, 31, 1000, 20_000])
+    def test_inv_sqrt_within_its_bound(self, digits):
+        # sqrt(10005) lies in [s, s + 1) / 10^k for s = isqrt(10005 10^2k),
+        # so r sqrt(10005) - 1 is bracketed by two exact rationals
+        r = Fraction(keystream._inv_sqrt_10005(digits))
+        k = digits + 10
+        s = math.isqrt(10005 * 100 ** k)
+        bound = Fraction(8, 10 ** digits)
+        assert -bound < r * s / 10 ** k - 1
+        assert r * (s + 1) / 10 ** k - 1 < bound
 
-    @pytest.mark.parametrize("bits", _operand_sizes())
-    def test_div_edge_cases(self, bits):
-        rng = random.Random(bits + 1)
-        d = rng.getrandbits(bits) | (1 << (bits - 1))
-        q = rng.getrandbits(bits + 7) | (1 << (bits + 6))
-        cases = [(d - 1, d), (0, d), (q * d, d), (q * d - 1, d),
-                 (q * d + d - 1, d), (q << bits, 1 << bits),
-                 ((q << bits) - 1, 1 << bits), (q * d, q)]
-        for num, den in cases:
-            assert keystream._div(num, den) == num // den
-
-    @pytest.mark.parametrize("bits", _operand_sizes())
-    def test_reciprocal_within_a_few_units(self, bits):
-        # the remainder correction makes _div exact for any reciprocal; a
-        # close one keeps that correction to a few cheap units
-        rng = random.Random(bits + 3)
-        for d_bits in (bits // 2, bits, 4 * bits):
-            d = rng.getrandbits(d_bits) | (1 << (d_bits - 1))
-            exact = (1 << (d_bits + bits)) // d
-            assert abs(keystream._reciprocal(d, bits) - exact) <= 4
-
-    def test_div_runs_newton_above_threshold(self, monkeypatch):
-        calls = []
-        real = keystream._reciprocal
-        monkeypatch.setattr(keystream, "_reciprocal",
-                            lambda d, k: calls.append(k) or real(d, k))
-        rng = random.Random(9)
-        num = rng.getrandbits(6 * NEWTON_BITS)
-        d = rng.getrandbits(3 * NEWTON_BITS) | 1
-        assert keystream._div(num, d) == num // d
-        assert max(calls) > 2 * NEWTON_BITS and len(calls) >= 3
-
-    @pytest.mark.parametrize("bits", _operand_sizes())
-    def test_sqrtrem_equals_math_isqrt(self, bits):
-        def expected(m):
-            s = math.isqrt(m)
-            return s, m - s * s
-
-        rng = random.Random(bits + 2)
-        for m_bits in (2 * bits - 1, 2 * bits, 2 * bits + 1, 5 * bits):
-            m = rng.getrandbits(m_bits) | (1 << (m_bits - 1))
-            s = math.isqrt(m)
-            for case in (m, s * s, s * s - 1, (s + 1) ** 2 - 1):
-                assert keystream._sqrtrem(case) == expected(case)
-        assert keystream._sqrtrem(0) == (0, 0)
-        assert keystream._sqrtrem(1) == (1, 0)
-
-    @pytest.mark.parametrize("prec", [64, 1000, 20_000, 70_000, 200_000])
+    @pytest.mark.parametrize(
+        "prec", [64, 1000, 20_000, 70_000, 200_000, 400_000])
     def test_pi_fixed_against_mpmath(self, prec):
         pi = keystream._pi_fixed(prec)
         with mpmath.workprec(prec + 64):
             err = abs(mpmath.mpf(pi) - mpmath.ldexp(mpmath.pi, prec))
-        # the module docstring bounds an unshifted value by 1.04 ulp
-        assert err < 1.04 <= keystream.PI_ERROR_ULPS
+        # the module docstring bounds an unshifted value by 1.001 ulp
+        assert err < 1.001 <= keystream.PI_ERROR_ULPS
+
+
+class TestDecimalContext:
+    COUNT = 3000
+
+    def test_callers_context_untouched(self):
+        ctx = decimal.getcontext()
+        before = (ctx.prec, ctx.rounding, dict(ctx.flags), dict(ctx.traps))
+        pi_fraction_bytes.cache_clear()
+        pi_fraction_bytes(key_l(random.Random(14)), self.COUNT)
+        assert decimal.getcontext() is ctx
+        assert (ctx.prec, ctx.rounding, dict(ctx.flags),
+                dict(ctx.traps)) == before
+
+    def test_hostile_context_changes_no_byte(self):
+        l = key_l(random.Random(15))
+        pi_fraction_bytes.cache_clear()
+        expected = pi_fraction_bytes(l, self.COUNT).data
+        pi_fraction_bytes.cache_clear()
+        with decimal.localcontext() as ctx:
+            ctx.prec = 3
+            ctx.rounding = decimal.ROUND_UP
+            ctx.traps[decimal.Inexact] = True
+            ctx.clear_flags()
+            got = pi_fraction_bytes(l, self.COUNT).data
+            assert not any(ctx.flags.values())
+        assert got == expected == mp_frac_bytes(l, self.COUNT)
+
+    def test_missing_c_decimal_is_a_typed_error(self, tmp_path):
+        # _pydecimal alone is quadratic at keystream sizes, so the first
+        # keystream request refuses; the CLI maps the error to exit 1
+        image = tmp_path / "in.pgm"
+        image.write_bytes(b"P5 4 4 255\n" + bytes(range(16)))
+        code = (
+            'import sys; sys.modules["_decimal"] = None\n'
+            "import vpaes\n"
+            "from vpaes.cli import main\n"
+            "try:\n"
+            "    vpaes.pi_fraction_bytes(5, 10)\n"
+            "except vpaes.VpaesError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+            f"sys.exit(main(['encrypt', '--in', {str(image)!r}, '--out', "
+            f"{str(tmp_path / 'out.vpaes')!r}, '--key', '01' * 16]))\n")
+        src = os.path.dirname(os.path.dirname(keystream.__file__))
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True)
+        assert out.returncode == 1
+        assert out.stdout.startswith("VpaesError ")
+        assert "_decimal" in out.stdout and "_decimal" in out.stderr
+        assert not (tmp_path / "out.vpaes").exists()
 
 
 class TestPiCache:
-    COUNT = 3000  # 24 kbit of fraction: above the Newton threshold
+    COUNT = 3000  # 24 kbit of fraction: the split merges Decimals
 
     def test_cache_clear_makes_the_next_call_compute_pi(self, pi_calls):
         pi_fraction_bytes(5, 100)
