@@ -6,6 +6,7 @@ Exit codes: 0 ok, 2 bad key, 3 bad image, 4 I/O, 5 bad container,
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -109,9 +110,8 @@ def _entry(report):
     out = {"test": report.test, "channel": report.channel,
            "statistic": report.statistic}
     if report.p_value is not None:
-        out["p_value"] = report.p_value
-        out["alpha"] = report.alpha
-        out["decision"] = report.decision
+        out.update(p_value=report.p_value, alpha=report.alpha,
+                   decision=report.decision)
     out.update(report.extras)
     return out
 
@@ -155,33 +155,30 @@ def cmd_decrypt(args):
 
 
 def _analysis_results(img, args):
+    """Each battery test on each channel; an error entry where one fails."""
+    r = randstat
+
+    def correlation(direction, ch):
+        return r.TestReport(f"correlation_{direction}", ch, r.correlation(
+            r.sample_adjacent_pairs(img, direction, ch, args.samples,
+                                    args.seed)))
+
+    battery = [("entropy", lambda ch: r.TestReport(
+        "entropy", ch, r.entropy(r.tone_histogram(img, ch))))]
+    battery += [(f"correlation_{d}", functools.partial(correlation, d))
+                for d in r.DIRECTIONS]
+    battery += [("spectral_dft", lambda ch: r.spectral_dft_test(
+                    r.channel_bits(img, ch), args.alpha, ch)),
+                ("chi_square_tone", lambda ch: r.chi_square_tone_test(
+                    r.tone_histogram(img, ch), args.alpha))]
     results = []
-    channels = randstat.channel_names(img.channels)
-
-    def run(name, channel, fn):
-        try:
-            results.append(_entry(fn()))
-        except VpaesError as exc:
-            results.append({"test": name, "channel": channel,
-                            "error": str(exc)})
-
-    for ch in channels:
-        hist = randstat.tone_histogram(img, ch)
-        run("entropy", ch, lambda c=ch, h=hist: randstat.TestReport(
-            "entropy", c, randstat.entropy(h)))
-    for direction in randstat.DIRECTIONS:
-        for ch in channels:
-            run(f"correlation_{direction}", ch,
-                lambda d=direction, c=ch: randstat.TestReport(
-                    f"correlation_{d}", c, randstat.correlation(
-                        randstat.sample_adjacent_pairs(
-                            img, d, c, args.samples, args.seed))))
-    for ch in channels:
-        run("spectral_dft", ch, lambda c=ch: randstat.spectral_dft_test(
-            randstat.channel_bits(img, c), args.alpha, c))
-    for ch in channels:
-        run("chi_square_tone", ch, lambda c=ch: randstat.chi_square_tone_test(
-            randstat.tone_histogram(img, c), args.alpha))
+    for name, test in battery:
+        for ch in r.channel_names(img.channels):
+            try:
+                results.append(_entry(test(ch)))
+            except VpaesError as exc:
+                results.append({"test": name, "channel": ch,
+                                "error": str(exc)})
     return results
 
 
@@ -228,12 +225,15 @@ def cmd_sensitivity(args):
     return 0
 
 
-def _sample_count(text):
-    """--samples: a correlation needs at least two pixel pairs."""
-    count = int(text)
-    if count < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {count}")
-    return count
+def _at_least(minimum):
+    """An argparse type: an integer no smaller than `minimum`."""
+    def integer(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return integer
 
 
 def _build_parser():
@@ -248,12 +248,9 @@ def _build_parser():
         p.set_defaults(fn=fn, needs_key=key)
         p.add_argument("--in", dest="input", required=True,
                        metavar="PATH", help="input file")
-        if output:
-            p.add_argument("--out", dest="output", required=True,
-                           metavar="PATH", help="output file")
-        else:
-            p.add_argument("--out", dest="output", metavar="PATH",
-                           help="write the report here instead of stdout")
+        p.add_argument("--out", dest="output", required=output,
+                       metavar="PATH", help="output file" if output else
+                       "write the report here instead of stdout")
         if key:
             p.add_argument("--key", required=True, metavar=f"HEX{_KEY_DIGITS}",
                            help=f"{8 * KEY_BYTES}-bit key as {_KEY_DIGITS} "
@@ -261,14 +258,14 @@ def _build_parser():
         if stats:
             p.add_argument("--alpha", type=float, default=0.01,
                            choices=[0.01, 0.001])
-            p.add_argument("--samples", type=_sample_count,
+            # a correlation needs at least two pixel pairs
+            p.add_argument("--samples", type=_at_least(2),
                            default=randstat.DEFAULT_SAMPLES)
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_at_least(0), default=0)
         p.add_argument("--report", choices=["text", "json"], default="text")
         if view:
             p.add_argument("--view", metavar="PATH",
                            help="also write the ciphertext as a P6 image")
-        return p
 
     add("encrypt", cmd_encrypt, key=True, output=True, view=True)
     add("decrypt", cmd_decrypt, key=True, output=True)

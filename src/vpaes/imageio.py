@@ -13,8 +13,10 @@ pad_len travels in the header so decryption strips padding exactly instead
 of guessing.
 """
 
+import itertools
 import math
 import os
+import re
 import struct
 import tempfile
 from dataclasses import dataclass
@@ -108,55 +110,31 @@ def _atomic_write(path, data):
 # ---------------------------------------------------------------------------
 # PNM (P5 / P6)
 
-_WHITESPACE = b" \t\r\n\v\f"
-
-
-def _pnm_token(data, pos):
-    """Next header token, skipping whitespace and '#' comment lines."""
-    n = len(data)
-    while pos < n:
-        b = data[pos:pos + 1]
-        if b in _WHITESPACE:
-            pos += 1
-        elif b == b"#":
-            while pos < n and data[pos:pos + 1] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise ImageParseError("file ends inside header", offset=pos)
-    start = pos
-    while pos < n and data[pos:pos + 1] not in _WHITESPACE:
-        pos += 1
-    if pos >= n:
-        raise ImageParseError("file ends inside header", offset=pos)
-    return data[start:pos], pos
-
-
-def _pnm_int(data, pos, what):
-    token, pos = _pnm_token(data, pos)
-    try:
-        value = int(token)
-    except ValueError:
-        raise ImageParseError(
-            f"non-numeric {what} token {token!r}", offset=pos) from None
-    if value < 1:
-        raise ImageFormatError(f"{what} must be positive, got {value}")
-    return value, pos
+# After the magic: width, height and maxval as int() reads them, then one
+# whitespace byte. Tokens are non-whitespace runs that do not open a comment;
+# whitespace and '#' comments to the end of the line separate them. A match
+# is one token or comment: a whole-header pattern keeps a frame per separator.
+_PNM_TOKEN = re.compile(rb"#[^\r\n]*|([^\s#]\S*)")
 
 
 def _load_pnm(data):
-    magic = data[:2]
-    channels = 3 if magic == b"P6" else 1
-    pos = 2
-    width, pos = _pnm_int(data, pos, "width")
-    height, pos = _pnm_int(data, pos, "height")
-    maxval, pos = _pnm_int(data, pos, "maxval")
+    tokens = (m for m in _PNM_TOKEN.finditer(data, 2) if m[1])
+    fields = list(itertools.islice(tokens, 3))
+    if len(fields) < 3 or fields[2].end() == len(data):
+        raise ImageParseError("file ends inside header", offset=len(data))
+    try:
+        width, height, maxval = (int(m[1]) for m in fields)
+    except ValueError:
+        raise ImageParseError(
+            f"non-numeric token in header {[m[1] for m in fields]}") from None
+    if width < 1 or height < 1:
+        raise ImageFormatError(f"bad PNM dimensions {width}x{height}")
     if maxval != 255:
         raise ImageFormatError(
             f"unsupported maxval {maxval}; only 8-bit (255) rasters")
-    pos += 1  # the single whitespace byte that ends the header
+    channels = 3 if data[:2] == b"P6" else 1
     need = width * height * channels
+    pos = fields[2].end() + 1  # past the one whitespace byte
     pixels = data[pos:pos + need]
     if len(pixels) < need:
         raise ImageParseError(
@@ -168,18 +146,21 @@ def _load_pnm(data):
 # ---------------------------------------------------------------------------
 # BMP (read-only: uncompressed 24-bit bottom-up)
 
+# bfOffBits, then BITMAPINFOHEADER from biSize through biCompression
+_BMP_HEADER = struct.Struct("<10xIIiiHHI")
+
 
 def _load_bmp(data):
     if len(data) < 54:
         raise ImageParseError("BMP header truncated", offset=len(data))
-    pixel_offset = struct.unpack_from("<I", data, 10)[0]
-    dib_size = struct.unpack_from("<I", data, 14)[0]
+    (pixel_offset, dib_size, width, height, planes, bitcount,
+     compression) = _BMP_HEADER.unpack_from(data)
     if dib_size < 40:
         raise ImageFormatError(
             f"unsupported BMP DIB header of {dib_size} bytes")
-    width, height = struct.unpack_from("<ii", data, 18)
-    planes, bitcount = struct.unpack_from("<HH", data, 26)
-    compression = struct.unpack_from("<I", data, 30)[0]
+    if pixel_offset < 14 + dib_size:
+        raise ImageFormatError(
+            f"BMP pixel offset {pixel_offset} points inside the headers")
     if planes != 1:
         raise ImageFormatError(f"BMP planes must be 1, got {planes}")
     if bitcount != 24:

@@ -181,7 +181,9 @@ def spectral_dft_test(bits, alpha=0.01, channel=""):
     j = 1..n/2-1 is compared with the 95% expectation N0 = 0.95*n/2 via
     d = (N1-N0)/sqrt(n*0.95*0.05/4) and P = erfc(|d|/sqrt(2)).
     """
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = np.asarray(bits)
+    if bits.dtype != np.uint8:  # the cast would pass 256 or 0.7 as a 0
+        bits = np.where((bits == 0) | (bits == 1), bits, 2).astype(np.uint8)
     if bits.size and bits.max() > 1:
         raise DomainError("bit sequence may only hold 0s and 1s")
     n = len(bits)

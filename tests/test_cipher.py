@@ -11,6 +11,10 @@ from conftest import FIPS_CIPHER, FIPS_KEY, FIPS_PLAIN
 from oracles import aes_ecb, aes_ecb_decrypt
 from vpaes import cipher
 from vpaes.cipher import (
+    _PAIR_INV_SBOX,
+    _PAIR_SBOX,
+    INV_SBOX,
+    SBOX,
     _bit_rows,
     _decrypt_rows,
     _encrypt_rows,
@@ -328,6 +332,18 @@ class TestRowKernels:
             expected = bytes(x ^ y for x, y in zip(
                 scalar(block, perm, self.KEYS), outer[1]))
             assert out[:, j].tobytes() == expected
+
+    @pytest.mark.parametrize("pair, box", [(_PAIR_SBOX, SBOX),
+                                           (_PAIR_INV_SBOX, INV_SBOX)],
+                             ids=["sbox", "inv_sbox"])
+    def test_pair_table_layout(self, pair, box):
+        # entry a | b << 8 is box[a] | box[b] << 8 for every byte pair, so a
+        # little-endian uint16 view of two byte rows looks up both at once
+        index = np.arange(1 << 16)
+        a, b = index & 0xFF, index >> 8
+        s = np.frombuffer(box, np.uint8).astype(np.uint16)
+        assert pair.dtype == np.dtype("<u2")
+        assert np.array_equal(pair[a | b << 8], s[a] | s[b] << 8)
 
 
 # (width, height): 1x1 up to 48x48, or one row or one column of up to 400

@@ -119,6 +119,18 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "sensitivity"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys,
+                                            command):
+        src = write_ppm(tmp_path / "in.ppm", random_image(8, 8, 3, seed=7))
+        argv = [command, "--in", src, "--seed", "-1"]
+        if command == "sensitivity":
+            argv += ["--key", KEY]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--seed: must be at least 0, got -1" in capsys.readouterr().err
+
     def test_zero_key_is_2(self, tmp_path):
         img = random_image(4, 4, 3, seed=6)
         src = write_ppm(tmp_path / "in.ppm", img)

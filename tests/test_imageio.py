@@ -1,5 +1,6 @@
 import random
 import struct
+import tracemalloc
 
 import pytest
 
@@ -60,6 +61,40 @@ class TestPnmLoad:
         save_image(img, path)
         assert load_image(path) == img
 
+    @pytest.mark.parametrize("header, size", [
+        (b"P505 7\n255\n", (5, 7)),  # a token may follow the magic
+        (b"P5#c\n5 +7 0255\t", (5, 7)),  # as int() reads it
+        (b"P5 # 2 1 255\r5\n#\n7\f255\v", (5, 7)),  # comment to line end
+        (b"P5 5#x 7 255\n", None),  # '#' inside a token is no comment
+        (b"P5 5 7 255", None),  # no whitespace byte after maxval
+        (b"P5 5 7 # 255\n", None),  # no maxval before the end
+        (b"P5 0 7 255\n", None),
+        (b"P5 5 7 256\n", None),
+    ])
+    def test_header_grammar(self, tmp_path, header, size):
+        path = tmp_path / "g.pgm"
+        path.write_bytes(header + bytes(35))
+        if size is None:
+            with pytest.raises(ImageFormatError):
+                load_image(path)
+        else:
+            img = load_image(path)
+            assert (img.width, img.height, img.data) == (*size, bytes(35))
+
+    def test_long_separator_parses_in_flat_memory(self, tmp_path):
+        # 400 kB of blank lines and comments before the width
+        data = b"P5" + b" \n#\n" * 100_000 + b"1 1 255\n\x07"
+        path = tmp_path / "long.pgm"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            img = load_image(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert img.data == b"\x07"
+        assert peak < 2 * len(data)
+
     def test_maxval_other_than_255_rejected(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n1 1\n64\n\x10")
@@ -118,6 +153,15 @@ class TestBmpLoad:
         path = tmp_path / "v5.bmp"
         path.write_bytes(header + dib + pixels + trailer)
         assert load_image(path) == img
+
+    @pytest.mark.parametrize("offset", [0, 14, 53])
+    def test_pixel_offset_inside_headers_rejected(self, tmp_path, offset):
+        raw = bytearray(make_bmp_bytes(random_image(4, 4, 3, seed=8)))
+        raw[10:14] = offset.to_bytes(4, "little")
+        path = tmp_path / "o.bmp"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ImageFormatError, match="inside the headers"):
+            load_image(path)
 
     def test_compressed_bmp_rejected(self, tmp_path):
         img = random_image(2, 2, 3, seed=3)

@@ -235,6 +235,22 @@ class TestSpectral:
         with pytest.raises(PreconditionError):
             spectral_dft_test(np.zeros(999, dtype=np.uint8))
 
+    @pytest.mark.parametrize("value", [256, 0.7, -1, 2, np.nan])
+    def test_non_bits_rejected(self, value):
+        # a uint8 cast would turn 256, 0.7 and nan into 0 and -1 into 255
+        bits = np.zeros(2000)
+        bits[[0, 1500]] = [1, value]
+        with pytest.raises(DomainError, match="0s and 1s"):
+            spectral_dft_test(bits)
+        with pytest.raises(DomainError, match="0s and 1s"):
+            spectral_dft_test(np.full(2000, value))
+
+    def test_bool_and_float_bits_equal_uint8(self):
+        bits = np.random.default_rng(15).integers(0, 2, 2000, np.uint8)
+        expected = spectral_dft_test(bits).statistic
+        for other in (bits.astype(bool), bits.astype(float), bits.tolist()):
+            assert spectral_dft_test(other).statistic == expected
+
     def test_frozen_values_and_traced_peak(self):
         # a fixed 2^21-bit input: N1 and d are frozen, and the traced peak
         # stays near two float64 buffers of its length (the +/-1 sequence
