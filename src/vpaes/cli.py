@@ -157,6 +157,9 @@ def cmd_decrypt(args):
 def _analysis_results(img, args):
     """Each battery test on each channel; an error entry where one fails."""
     r = randstat
+    channels = r.channel_names(img.channels)
+    # entropy and the chi-square test share one histogram per channel
+    hist = {ch: r.tone_histogram(img, ch) for ch in channels}
 
     def correlation(direction, ch):
         return r.TestReport(f"correlation_{direction}", ch, r.correlation(
@@ -164,16 +167,16 @@ def _analysis_results(img, args):
                                     args.seed)))
 
     battery = [("entropy", lambda ch: r.TestReport(
-        "entropy", ch, r.entropy(r.tone_histogram(img, ch))))]
+        "entropy", ch, r.entropy(hist[ch])))]
     battery += [(f"correlation_{d}", functools.partial(correlation, d))
                 for d in r.DIRECTIONS]
     battery += [("spectral_dft", lambda ch: r.spectral_dft_test(
                     r.channel_bits(img, ch), args.alpha, ch)),
                 ("chi_square_tone", lambda ch: r.chi_square_tone_test(
-                    r.tone_histogram(img, ch), args.alpha))]
+                    hist[ch], args.alpha))]
     results = []
     for name, test in battery:
-        for ch in r.channel_names(img.channels):
+        for ch in channels:
             try:
                 results.append(_entry(test(ch)))
             except VpaesError as exc:

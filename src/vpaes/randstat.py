@@ -28,6 +28,7 @@ DEFAULT_SAMPLES = 3000
 DIRECTIONS = ("horizontal", "vertical", "diagonal")
 _STEPS = {"horizontal": (0, 1), "vertical": (1, 0), "diagonal": (1, 1)}
 _CHANNEL_INDEX = {"red": 0, "green": 1, "blue": 2, "gray": 0}
+_FFT_BLOCK = 1 << 14  # complex entries per second-stage batch: 256 KiB
 
 
 def channel_names(channels):
@@ -152,7 +153,7 @@ def _pearson(xs, ys):
     var_x = float(np.mean(dx * dx))
     var_y = float(np.mean(dy * dy))
     if var_x == 0.0 or var_y == 0.0:
-        raise DomainError(
+        raise PreconditionError(
             "correlation undefined: a coordinate has zero variance")
     r = float(np.mean(dx * dy)) / math.sqrt(var_x * var_y)
     return max(-1.0, min(1.0, r))
@@ -171,6 +172,52 @@ def entropy(hist):
     counts = hist.bins[hist.bins > 0].astype(np.float64)
     p = counts / total
     return float(-np.sum(p * np.log2(p)))
+
+
+def _low_peaks(bits, threshold):
+    """How many of |X_1| .. |X_{n/2-1}| lie below `threshold`, X the DFT of
+    the +/-1 sequence of `bits` (even length n), in float64.
+
+    Bailey's four-step DFT in cache-sized batches instead of one n-point
+    transform. With n = n1*n2 (n1 the largest divisor <= sqrt(n); not the
+    peak count), j = j1*n2 + j2 and k = k1 + n1*k2, X_k is the length-n2
+    DFT over j2 of w_n^(j2*k1) times the length-n1 DFT over j1. The real
+    first stage gives rows k1 = 0..n1/2 only, which is enough: |X_k| =
+    |X_{n-k}|, and a row 0 < k1 < n1/2 holds exactly one of each such pair,
+    while rows 0 and n1/2 hold both, so there only 1 <= k < n/2 counts.
+    The array between the stages, 16*n2*(n1//2 + 1) bytes, is the only
+    n-sized one.
+    """
+    n = len(bits)
+    divisors = np.arange(1, math.isqrt(n) + 1)
+    n1 = int(divisors[n % divisors == 0][-1])
+    n2 = n // n1
+    rows = bits.reshape(n1, n2)
+    k1 = np.arange(n1 // 2 + 1)
+    # first-stage batch a holds the s rows j2 = a*s + b, whose twiddles are
+    # w_n^(j2*k1) = w_n^(a*s*k1) * w_n^(b*k1): two tables of about sqrt(n2)
+    # rows each, exponents reduced mod n
+    s = math.isqrt(n2 - 1) + 1
+    turn = -2j * math.pi / n
+    coarse = np.exp(np.arange(0, n2, s)[:, None] * k1 % n * turn)
+    fine = np.exp(np.arange(s)[:, None] * k1 % n * turn)
+    z = np.empty((len(k1), n2), complex)  # z[k1, j2]
+    for a, lo in enumerate(range(0, n2, s)):
+        x = rows[:, lo:lo + s].T * 2.0
+        x -= 1.0
+        y = np.fft.rfft(x)
+        y *= coarse[a] * fine[:len(y)]
+        z[:, lo:lo + s] = y.T
+    edges = [0, n1 // 2] if n1 % 2 == 0 else [0]
+    k = np.array(edges)[:, None] + n1 * np.arange(n2)
+    low = np.abs(np.fft.fft(z[edges])) < threshold
+    count = np.count_nonzero(low & (k >= 1) & (2 * k < n))
+    inner = z[1:(n1 + 1) // 2]
+    step = max(1, _FFT_BLOCK // n2)
+    for i in range(0, len(inner), step):
+        count += np.count_nonzero(
+            np.abs(np.fft.fft(inner[i:i + step])) < threshold)
+    return int(count)
 
 
 def spectral_dft_test(bits, alpha=0.01, channel=""):
@@ -193,11 +240,8 @@ def spectral_dft_test(bits, alpha=0.01, channel=""):
     if n % 2:
         bits = bits[:-1]
         n -= 1
-    x = bits * 2.0  # the +/-1 sequence in one float64 buffer, which then
-    x -= 1.0  # holds the moduli: the traced peak stays near 2 * 8n bytes
-    moduli = np.abs(np.fft.rfft(x)[1:n // 2], out=x[:n // 2 - 1])
     threshold = math.sqrt(n * math.log(1.0 / 0.05))
-    n1 = int(np.count_nonzero(moduli < threshold))
+    n1 = _low_peaks(bits, threshold)
     n0 = 0.95 * n / 2.0
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     p_value = erfc(abs(d) / _SQRT2)

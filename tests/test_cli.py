@@ -176,12 +176,12 @@ class TestExitCodes:
         assert by_test["chi_square_tone"][0]["decision"] == "rejected"
         assert all("error" in e for e in by_test["correlation_horizontal"])
 
-    def test_single_pixel_sensitivity_is_1(self, tmp_path, capsys):
+    def test_single_pixel_sensitivity_is_6(self, tmp_path, capsys):
         # every sample lands on the one pixel, so the correlation's inputs
-        # have zero variance: a DomainError, the catch-all code
+        # have zero variance: an unmet precondition, as in analyze
         img = random_image(1, 1, 3, seed=13)
         src = write_ppm(tmp_path / "one.ppm", img)
-        assert main(["sensitivity", "--in", src, "--key", KEY]) == 1
+        assert main(["sensitivity", "--in", src, "--key", KEY]) == 6
         assert "zero variance" in capsys.readouterr().err
 
 

@@ -9,6 +9,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_image, text_style_image
 from oracles import brute_spectral
@@ -122,9 +124,9 @@ class TestCorrelation:
         assert r == pytest.approx(0.9819805060619659, abs=1e-10)
 
     def test_zero_variance_is_an_error_not_nan(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(PreconditionError, match="zero variance"):
             correlation(pairs([5, 5, 5], [1, 2, 3]))
-        with pytest.raises(DomainError):
+        with pytest.raises(PreconditionError, match="zero variance"):
             correlation(pairs([1, 2, 3], [7, 7, 7]))
 
     def test_symmetry(self):
@@ -253,9 +255,9 @@ class TestSpectral:
 
     def test_frozen_values_and_traced_peak(self):
         # a fixed 2^21-bit input: N1 and d are frozen, and the traced peak
-        # stays near two float64 buffers of its length (the +/-1 sequence
-        # and the spectrum); building the sequence as astype * 2.0 - 1.0
-        # peaked at 2.5 of them
+        # stays near one float64 buffer of its length (the four-step
+        # kernel's half spectrum; measured 1.13 of them); one n-point rfft
+        # of the +/-1 sequence peaked at 2.0
         bits = np.unpackbits(np.frombuffer(hashlib.shake_256(
             b"vpaes spectral peak").digest(2**18), dtype=np.uint8))
         tracemalloc.start()
@@ -267,7 +269,64 @@ class TestSpectral:
         assert report.extras["n1"] == 996_107
         assert report.statistic == pytest.approx(-0.25473832536910546,
                                                  rel=1e-12)
-        assert peak <= 2.1 * 8 * len(bits)
+        assert peak <= 1.2 * 8 * len(bits)
+
+
+def direct_low_peaks(bits):
+    """N1 from one n-point rfft of the +/-1 sequence: the spectral test's
+    count before the four-step kernel, kept as its reference."""
+    n = len(bits) - len(bits) % 2
+    x = np.asarray(bits[:n]) * 2.0 - 1.0
+    threshold = math.sqrt(n * math.log(1.0 / 0.05))
+    return int(np.count_nonzero(
+        np.abs(np.fft.rfft(x)[1:n // 2]) < threshold))
+
+
+def spectral_n1(bits):
+    return spectral_dft_test(bits).extras["n1"]
+
+
+class TestSpectralKernel:
+    """The four-step count equals the direct rfft count. With n = n1*n2
+    and n1 the largest divisor <= sqrt(n), the lengths below cover n1 = 2,
+    odd n1, a prime n1, n1 = n2, and image-channel lengths 8*w*h."""
+
+    def test_every_length_1000_to_1200(self):
+        rng = np.random.default_rng(20)
+        for length in range(1000, 1201):
+            bits = rng.integers(0, 2, length, dtype=np.uint8)
+            assert spectral_n1(bits) == direct_low_peaks(bits), length
+
+    @pytest.mark.parametrize("length", [
+        2 * 1009,  # 2p: n1 = 2, n2 prime
+        2 * 104_729,  # 2p with a large prime: n1 = 2
+        1026,  # odd n1 = 27, n2 = 38
+        2 * 211 ** 2,  # 2p^2: n1 = p = 211 (odd prime), n2 = 2p
+        1018 ** 2,  # (2p)^2: n1 = n2 = 1018
+        1009 ** 2,  # odd p^2: the last bit drops, n = 1008 * 1010
+    ])
+    def test_factor_shapes(self, length):
+        bits = np.random.default_rng(length).integers(0, 2, length, np.uint8)
+        assert spectral_n1(bits) == direct_low_peaks(bits)
+
+    @pytest.mark.parametrize("width,height", [
+        (64, 64), (97, 103), (333, 500), (256, 192), (1021, 3)])
+    def test_image_channel_lengths(self, width, height):
+        noise = random_image(width, height, 3, seed=width)
+        page = text_style_image(width, height)
+        for img in (noise, page):
+            for ch in ("red", "blue"):
+                bits = channel_bits(img, ch)
+                assert spectral_n1(bits) == direct_low_peaks(bits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1000, 60_000), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.5, 0.1, 0.01]))
+    def test_matches_direct_rfft(self, length, seed, density):
+        # sparse sequences too: their spectra sit far from white noise
+        bits = (np.random.default_rng(seed).random(length)
+                < density).astype(np.uint8)
+        assert spectral_n1(bits) == direct_low_peaks(bits)
 
 
 class TestChiSquareTone:
