@@ -27,8 +27,11 @@ from .imageio import (
     CipherContainer,
     ImageBuffer,
     _atomic_write,
+    _read_file,
+    decode_image,
     load_image,
     pad_payload,
+    parse_container,
     read_container,
     save_cipher_view,
     save_image,
@@ -69,20 +72,12 @@ def parse_key_hex(text):
     return Key128(data)
 
 
-def _sha256_file(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _emit_report(args, results, *fields):
+def _emit_report(args, digest, results, *fields):
     """Write one report: its provenance (command, input and its sha256,
     package version, and the arguments named in `fields`) and the results,
     as JSON or as one text line per result."""
     document = {"command": args.command, "input": args.input,
-                "input_sha256": _sha256_file(args.input),
+                "input_sha256": digest,
                 "version": __version__, "results": results}
     document.update((name, getattr(args, name)) for name in fields)
     if args.report == "json":
@@ -116,16 +111,22 @@ def _entry(report):
     return out
 
 
-def _load_plain_or_cipher(path):
-    """An image for analysis: raster files load directly, containers are
-    reinterpreted as a raster of their ciphertext bytes (padding dropped)."""
-    with open(path, "rb") as f:
-        head = f.read(len(MAGIC))
-    if head == MAGIC:
-        c = read_container(path)
+def _load_input(path, decode):
+    """decode(the input's bytes) and the sha256 of those bytes, from one
+    read: the report's digest names the bytes that were analysed."""
+    data = _read_file(path)
+    return decode(data), hashlib.sha256(data).hexdigest()
+
+
+def _plain_or_cipher(data):
+    """An image for analysis from the input's bytes: raster files decode
+    directly, containers are reinterpreted as a raster of their ciphertext
+    bytes (padding dropped)."""
+    if data.startswith(MAGIC):
+        c = parse_container(data)
         pixels = c.width * c.height * c.channels
         return ImageBuffer(c.width, c.height, c.channels, c.payload[:pixels])
-    return load_image(path)
+    return decode_image(data)
 
 
 def cmd_encrypt(args):
@@ -186,15 +187,16 @@ def _analysis_results(img, args):
 
 
 def cmd_analyze(args):
-    results = _analysis_results(_load_plain_or_cipher(args.input), args)
-    _emit_report(args, results, "seed", "alpha", "samples")
+    img, digest = _load_input(args.input, _plain_or_cipher)
+    results = _analysis_results(img, args)
+    _emit_report(args, digest, results, "seed", "alpha", "samples")
     return 6 if any("error" in entry for entry in results) else 0
 
 
 def cmd_select_score(args):
-    img = load_image(args.input)
+    img, digest = _load_input(args.input, decode_image)
     scores = randstat.plaintext_selection_score(img)
-    _emit_report(args, [
+    _emit_report(args, digest, [
         {"test": "selection_score", "channel": ch, "statistic": value}
         for ch, value in scores.items()
     ])
@@ -202,7 +204,7 @@ def cmd_select_score(args):
 
 
 def cmd_sensitivity(args):
-    img = load_image(args.input)
+    img, digest = _load_input(args.input, decode_image)
     padded, pad_len = pad_payload(img.data)
     bumped = (key_to_integer(args.key) + 1) % _KEY_MODULUS
     if bumped == 0:
@@ -224,7 +226,7 @@ def cmd_sensitivity(args):
         "test": "sensitivity_correlation_max_abs", "channel": "all",
         "statistic": max(abs(r) for r in correlations.values()),
     })
-    _emit_report(args, results, "seed", "samples")
+    _emit_report(args, digest, results, "seed", "samples")
     return 0
 
 

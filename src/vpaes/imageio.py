@@ -186,10 +186,18 @@ def _load_bmp(data):
     return ImageBuffer(width, height, 3, rgb.tobytes())
 
 
+def _read_file(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
 def load_image(path):
     """Decode a P6/P5/BMP file to exact pixel bytes."""
-    with open(path, "rb") as f:
-        data = f.read()
+    return decode_image(_read_file(path))
+
+
+def decode_image(data):
+    """Decode the bytes of a P6/P5/BMP file to exact pixel bytes."""
     magic = data[:2]
     if magic in (b"P6", b"P5"):
         return _load_pnm(data)
@@ -258,8 +266,7 @@ def parse_container(data):
 
 
 def read_container(path):
-    with open(path, "rb") as f:
-        return parse_container(f.read())
+    return parse_container(_read_file(path))
 
 
 def cipher_view(c):

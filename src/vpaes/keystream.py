@@ -119,10 +119,13 @@ def window(stream, j):
     return stream.data[j:j + WINDOW_BYTES]
 
 
-def _chudnovsky_split(a, b):
+def _chudnovsky_split(a, b, need_p=True):
     """(P, Q, T) of the terms a..b-1 of the Chudnovsky sum: their sum is
     P(0,a) T / (Q(0,a) Q), and T carries the signs. Ranges of up to
-    _LEAF_TERMS terms merge as ints, larger ones as exact Decimals."""
+    _LEAF_TERMS terms merge as ints, larger ones as exact Decimals. A merge
+    needs P of its left half only, so with need_p false merges skip their
+    P product and return None for it: pi needs no P(0, N), nor any P along
+    the right edge of the split."""
     if b - a == 1:
         if a == 0:
             return 1, 1, _A
@@ -131,11 +134,12 @@ def _chudnovsky_split(a, b):
         return p, a * a * a * _C3_24, -t if a & 1 else t
     mid = (a + b) // 2
     p1, q1, t1 = _chudnovsky_split(a, mid)
-    p2, q2, t2 = _chudnovsky_split(mid, b)
+    p2, q2, t2 = _chudnovsky_split(mid, b, need_p)
     if b - a <= _LEAF_TERMS:
-        return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
+        return p1 * p2 if need_p else None, q1 * q2, q2 * t1 + p1 * t2
     mul = _EXACT.multiply
-    return mul(p1, p2), mul(q1, q2), _EXACT.add(mul(q2, t1), mul(p1, t2))
+    return (mul(p1, p2) if need_p else None, mul(q1, q2),
+            _EXACT.add(mul(q2, t1), mul(p1, t2)))
 
 
 def _context(prec, rounding):
@@ -186,7 +190,7 @@ def _pi_fixed(prec):
         raise VpaesError("pi needs CPython's C decimal module, _decimal")
     digits = prec * 30103 // 100000 + 8
     ctx = _context(digits, ROUND_HALF_EVEN)
-    _, q, t = _chudnovsky_split(0, prec // 47 + 2)
+    _, q, t = _chudnovsky_split(0, prec // 47 + 2, need_p=False)
     ratio = ctx.divide(ctx.multiply(q, 426880 * 10005), ctx.plus(t))
     pi = ctx.multiply(ratio, _inv_sqrt_10005(digits))
     return _to_int(ctx.multiply(pi, _EXACT.power(2, prec)))

@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import json
 
 import pytest
@@ -203,6 +205,39 @@ class TestReportProvenance:
         assert doc["command"] == command
         assert doc["input"] == src
         assert doc["version"] == vpaes.__version__
+
+    @pytest.mark.parametrize("command, extra, container", [
+        ("analyze", [], False),
+        ("analyze", [], True),
+        ("select-score", [], False),
+        ("sensitivity", ["--key", KEY], False),
+    ], ids=["analyze", "analyze-container", "select-score", "sensitivity"])
+    def test_input_read_once(self, tmp_path, monkeypatch, command, extra,
+                             container):
+        # one read serves the decoder and input_sha256, so the digest names
+        # the bytes that were analysed
+        src = write_ppm(tmp_path / "in.ppm", random_image(64, 64, 3, seed=14))
+        if container:
+            enc = str(tmp_path / "in.vpaes")
+            assert main(["encrypt", "--in", src, "--out", enc,
+                         "--key", KEY]) == 0
+            src = enc
+        out = tmp_path / "report.json"
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert main([command, "--in", src, "--out", str(out),
+                     "--report", "json", *extra]) == 0
+        monkeypatch.undo()
+        assert opened.count(src) == 1
+        with open(src, "rb") as f:
+            digest = hashlib.sha256(f.read()).hexdigest()
+        assert json.loads(out.read_text())["input_sha256"] == digest
 
 
 class TestAnalyze:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import random_image, text_style_image
 from oracles import brute_spectral
 import vpaes
+from vpaes import randstat
 from vpaes.errors import DomainError, PreconditionError
 from vpaes.imageio import CipherContainer, ImageBuffer
 from vpaes.randstat import TestReport as StatReport
@@ -327,6 +329,90 @@ class TestSpectralKernel:
         bits = (np.random.default_rng(seed).random(length)
                 < density).astype(np.uint8)
         assert spectral_n1(bits) == direct_low_peaks(bits)
+
+
+class TestSpectralParts:
+    """The kernel deals each stage's batches out to _part_count(n) threads.
+    First-stage batches fill disjoint columns and second-stage batches
+    return integer counts, so no part count may change N1."""
+
+    @pytest.mark.parametrize("length", [
+        2**18 - 8,  # just below the 2^18 bits of one part
+        2**18 + 8,
+        2**19,  # where a second part starts
+        2 * 211 ** 2,  # odd n1 = 211
+        "frozen",  # the 2^21-bit input of test_frozen_values_and_traced_peak
+    ])
+    def test_part_count_changes_nothing(self, monkeypatch, length):
+        if length == "frozen":
+            bits = np.unpackbits(np.frombuffer(hashlib.shake_256(
+                b"vpaes spectral peak").digest(2**18), dtype=np.uint8))
+        else:
+            bits = np.random.default_rng(length).integers(
+                0, 2, length, np.uint8)
+        counts = []
+        before = threading.active_count()
+        for parts in (1, 2, 3):  # three parts split the batches unevenly
+            monkeypatch.setattr(randstat, "_part_count", lambda n: parts)
+            counts.append(spectral_n1(bits))
+            assert threading.active_count() == before  # helpers joined
+        assert counts == [direct_low_peaks(bits)] * 3
+
+    def test_part_count(self, monkeypatch):
+        lengths = (1000, 2**19 - 2, 2**19, 2**21)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        assert [randstat._part_count(n) for n in lengths] == [1, 1, 2, 2]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert [randstat._part_count(n) for n in lengths] == [1, 1, 1, 1]
+        # without an affinity mask the CPU count bounds the parts
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert randstat._part_count(2**21) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert randstat._part_count(2**21) == 1
+
+    @pytest.mark.parametrize("stage", ["rfft", "fft"])
+    @pytest.mark.parametrize("failing, raised", [
+        ("helper", "helper"), ("caller", "caller"),
+        ("both", "caller"),  # the lowest part's error wins
+    ])
+    def test_part_error_reaches_caller(self, monkeypatch, stage, failing,
+                                       raised):
+        class PartFailed(Exception):
+            pass
+
+        transform = getattr(np.fft, stage)
+        main = threading.main_thread()
+
+        def flaky(x):
+            on_caller = threading.current_thread() is main
+            if failing == "both" or on_caller == (failing == "caller"):
+                raise PartFailed("caller" if on_caller else "helper")
+            return transform(x)
+
+        bits = np.random.default_rng(30).integers(0, 2, 2**19, np.uint8)
+        monkeypatch.setattr(randstat, "_part_count", lambda n: 2)
+        before = threading.active_count()
+        monkeypatch.setattr(np.fft, stage, flaky)
+        with pytest.raises(PartFailed, match=raised):
+            spectral_dft_test(bits)
+        assert threading.active_count() == before
+
+    def test_more_parts_than_cores_under_fast_switching(self, monkeypatch):
+        # four parts on at most two cores, with the interpreter switching
+        # threads every 10 us: a part that lost or doubled a batch would
+        # change the count
+        bits = np.random.default_rng(32).integers(0, 2, 2**18, np.uint8)
+        expected = direct_low_peaks(bits)
+        monkeypatch.setattr(randstat, "_part_count", lambda n: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            counts = [spectral_n1(bits) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [expected] * 5
 
 
 class TestChiSquareTone:
