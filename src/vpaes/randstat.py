@@ -14,12 +14,12 @@ Samplers are seeded, so every reported number is reproducible from
 """
 
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _host
 from .errors import DomainError, PreconditionError
 
 _SQRT2 = math.sqrt(2.0)
@@ -41,6 +41,11 @@ _MAX_PARTS = 2
 # 13.5 against 10.6 ms at 2^19 (two parts faster in 23 of 30) and 50 against
 # 33 ms at 2^21, a 512x512 channel. Below 2^18 two parts were slower still.
 _PART_BITS = 1 << 18
+# A second thread needs n1 >= 16 too. Two parts against one (medians of 5-11
+# alternated calls, 2-core x86-64, n = n1 times a prime) took 1.04-1.15 times
+# as long with n1 = 2 or 4 at 2^19, 2^20 and 2^21 bits, and 1.09 and 1.04
+# with n1 = 8 at 2^19 and 370,696 bits; with n1 = 16, 0.80-0.89 at each.
+_PART_N1 = 16
 
 
 def channel_names(channels):
@@ -186,15 +191,13 @@ def entropy(hist):
     return float(-np.sum(p * np.log2(p)))
 
 
-def _part_count(n):
-    """How many threads share the spectral kernel for n bits: one per
-    _PART_BITS, at least one, and no more than _MAX_PARTS or the CPUs this
-    process may run on."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(_MAX_PARTS, cpus, n // _PART_BITS))
+def _part_count(n, n1):
+    """How many threads share the spectral kernel for n = n1*n2 bits: one
+    per _PART_BITS, at least one, and no more than _MAX_PARTS or the CPUs
+    this process may run on; one if n1 < _PART_N1."""
+    if n1 < _PART_N1:
+        return 1
+    return max(1, min(_MAX_PARTS, _host.available_cpus(), n // _PART_BITS))
 
 
 def _in_parts(parts, work):
@@ -242,10 +245,10 @@ def _low_peaks(bits, threshold):
     The array between the stages, 16*n2*(n1//2 + 1) bytes, is the only
     n-sized one.
 
-    Each stage's batches are dealt out to _part_count(n) parts (_in_parts):
-    first-stage batches write disjoint column blocks of that array, and
-    second-stage batches each return an integer count, so the parts change
-    no number.
+    Each stage's batches are dealt out to _part_count(n, n1) parts
+    (_in_parts): first-stage batches write disjoint column blocks of that
+    array, and second-stage batches each return an integer count, so the
+    parts change no number.
     """
     n = len(bits)
     divisors = np.arange(1, math.isqrt(n) + 1)
@@ -261,7 +264,7 @@ def _low_peaks(bits, threshold):
     coarse = np.exp(np.arange(0, n2, s)[:, None] * k1 % n * turn)
     fine = np.exp(np.arange(s)[:, None] * k1 % n * turn)
     z = np.empty((len(k1), n2), complex)  # z[k1, j2]
-    parts = _part_count(n)
+    parts = _part_count(n, n1)
     # one buffer per part, allocated on the calling thread rather than in a
     # helper's malloc arena: a batch's +/-1 rows (n1 floats a row) until its
     # rfft has run, then its twiddles (n1//2 + 1 complex a row), so a part

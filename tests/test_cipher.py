@@ -1,5 +1,7 @@
 import hashlib
+import os
 import random
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import FIPS_CIPHER, FIPS_KEY, FIPS_PLAIN
 from oracles import aes_ecb, aes_ecb_decrypt
-from vpaes import cipher
+from vpaes import _host, cipher
 from vpaes.cipher import (
     _PAIR_INV_SBOX,
     _PAIR_SBOX,
@@ -32,7 +34,7 @@ from vpaes.cipher import (
     encrypt_payload_with_stream,
     expand_key,
 )
-from vpaes.errors import DomainError
+from vpaes.errors import DomainError, VpaesError
 from vpaes.imageio import (
     CipherContainer,
     container_bytes,
@@ -485,6 +487,23 @@ CHUNK_CASES = st.integers(1, 9).flatmap(lambda k: st.tuples(
               st.integers(1, 40))))
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made while the test runs; afterwards, no child
+    process may be left."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield calls
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestChunking:
     KEY = TestPayload.KEY
     DATA = bytes(random.Random(47).randrange(256) for _ in range(16 * 40))
@@ -503,17 +522,25 @@ class TestChunking:
             assert [f(data, self.KEY, stream)
                     for f in self.DIRECTIONS] == one_shot
 
-    def test_multi_chunk_digest(self):
+    def test_multi_chunk_digest(self, monkeypatch, forks):
         # frozen byte contract across chunk edges: more than two full
-        # chunks and a partial one (digests of the one-pass implementation)
+        # chunks and a partial one (digests of the one-pass implementation),
+        # in one process and split between two
         blocks = 10_007
         assert blocks > 2 * cipher.CHUNK_BLOCKS
         assert blocks % cipher.CHUNK_BLOCKS
         data = hashlib.shake_256(b"vpaes chunk edges").digest(16 * blocks)
-        assert hashlib.sha256(encrypt_payload(data, self.KEY)).hexdigest() == (
-            "c791a26bee190cbb576c26aca39f067bbf759f7814fe5b446b59ae3796e09f4f")
-        assert hashlib.sha256(decrypt_payload(data, self.KEY)).hexdigest() == (
-            "b3d062f0c4a3dd95cc92d7ca462b6c9df7545cd4825656d800b081126f505d0d")
+        monkeypatch.setattr(cipher, "_SPLIT_BLOCKS", blocks)
+        digests = set()
+        for cpus in (1, 2):
+            monkeypatch.setattr(_host, "available_cpus", lambda: cpus)
+            digests.add(tuple(hashlib.sha256(run(data, self.KEY)).hexdigest()
+                              for run in (encrypt_payload, decrypt_payload)))
+        assert digests == {(
+            "c791a26bee190cbb576c26aca39f067bbf759f7814fe5b446b59ae3796e09f4f",
+            "b3d062f0c4a3dd95cc92d7ca462b6c9df7545cd4825656d800b081126f505d0d",
+        )}
+        assert len(forks) == 2
 
     @pytest.mark.parametrize("run", DIRECTIONS, ids=["encrypt", "decrypt"])
     def test_peak_memory_grows_with_the_payload_only(self, run):
@@ -550,3 +577,94 @@ class TestChunking:
         finally:
             tracemalloc.stop()
         assert peak - 2 * len(data) <= 2 * 2**20
+
+
+class TestTwoProcesses:
+    """From _SPLIT_BLOCKS blocks on, with two CPUs, _run_blocks forks one
+    helper for the second half of the payload. Every block runs the same
+    kernel on the same inputs either way, so the bytes cannot change."""
+
+    KEY = TestPayload.KEY
+    DIRECTIONS = TestChunking.DIRECTIONS
+
+    @staticmethod
+    def payload(blocks):
+        rng = np.random.default_rng(blocks)
+        stream = FractionStream(rng.integers(
+            0, 256, required_byte_count(blocks), np.uint8).tobytes())
+        return rng.integers(0, 256, 16 * blocks, np.uint8).tobytes(), stream
+
+    @pytest.mark.parametrize("blocks", [
+        cipher._SPLIT_BLOCKS - 1, cipher._SPLIT_BLOCKS,
+        cipher._SPLIT_BLOCKS + 1, 2 * cipher.CHUNK_BLOCKS - 1,
+        2 * cipher.CHUNK_BLOCKS + 1, 10_007])
+    @pytest.mark.parametrize("run", DIRECTIONS, ids=["encrypt", "decrypt"])
+    def test_split_equals_one_process(self, monkeypatch, forks, run, blocks):
+        data, stream = self.payload(blocks)
+        monkeypatch.setattr(_host, "available_cpus", lambda: 1)
+        one = run(data, self.KEY, stream)
+        assert not forks
+        monkeypatch.setattr(_host, "available_cpus", lambda: 2)
+        assert run(data, self.KEY, stream) == one
+        assert len(forks) == (blocks >= cipher._SPLIT_BLOCKS)
+        # below the threshold too, once it is lowered
+        monkeypatch.setattr(cipher, "_SPLIT_BLOCKS", 2)
+        assert run(data, self.KEY, stream) == one
+        assert forks[-1] == 1  # only the calling thread was alive
+
+    def test_no_fork_below_threshold_on_one_cpu_or_beside_a_thread(
+            self, monkeypatch, forks):
+        data, stream = self.payload(cipher._SPLIT_BLOCKS)
+        monkeypatch.setattr(_host, "available_cpus", lambda: 2)
+        encrypt_payload_with_stream(data[:-16], self.KEY, stream)
+        assert not forks
+        monkeypatch.setattr(_host, "available_cpus", lambda: 1)
+        encrypt_payload_with_stream(data, self.KEY, stream)
+        assert not forks
+        monkeypatch.setattr(_host, "available_cpus", lambda: 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        other.start()
+        try:
+            encrypt_payload_with_stream(data, self.KEY, stream)
+        finally:
+            release.set()
+            other.join(10)
+        assert not other.is_alive()
+        assert not forks
+        encrypt_payload_with_stream(data, self.KEY, stream)
+        assert forks == [1]
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    @pytest.mark.parametrize("inverse", [False, True],
+                             ids=["encrypt", "decrypt"])
+    def test_failure_in_either_half(self, monkeypatch, forks, failing,
+                                    inverse):
+        class HalfFailed(Exception):
+            pass
+
+        caller = os.getpid()
+        name = "_decrypt_rows" if inverse else "_encrypt_rows"
+        kernel = getattr(cipher, name)
+
+        def flaky(*args):
+            if (os.getpid() == caller) == (failing == "caller"):
+                raise HalfFailed(failing)
+            return kernel(*args)
+
+        data, stream = self.payload(cipher._SPLIT_BLOCKS)
+        monkeypatch.setattr(_host, "available_cpus", lambda: 2)
+        monkeypatch.setattr(cipher, name, flaky)
+        # a helper's failure arrives as VpaesError, with no bytes returned;
+        # the caller's own exception passes through once the helper is
+        # reaped (the fixture checks that none is left)
+        error, match = VpaesError, "exit code 1, 0 of"
+        if failing == "caller":
+            error, match = HalfFailed, "caller"
+        try:
+            with pytest.raises(error, match=match):
+                cipher._run_blocks(data, self.KEY, stream, inverse)
+        finally:
+            if os.getpid() != caller:  # a helper that did not leave by
+                os._exit(99)  # os._exit must not run on inside pytest
+        assert len(forks) == 1

@@ -332,9 +332,9 @@ class TestSpectralKernel:
 
 
 class TestSpectralParts:
-    """The kernel deals each stage's batches out to _part_count(n) threads.
-    First-stage batches fill disjoint columns and second-stage batches
-    return integer counts, so no part count may change N1."""
+    """The kernel deals each stage's batches out to _part_count(n, n1)
+    threads. First-stage batches fill disjoint columns and second-stage
+    batches return integer counts, so no part count may change N1."""
 
     @pytest.mark.parametrize("length", [
         2**18 - 8,  # just below the 2^18 bits of one part
@@ -353,7 +353,7 @@ class TestSpectralParts:
         counts = []
         before = threading.active_count()
         for parts in (1, 2, 3):  # three parts split the batches unevenly
-            monkeypatch.setattr(randstat, "_part_count", lambda n: parts)
+            monkeypatch.setattr(randstat, "_part_count", lambda n, n1: parts)
             counts.append(spectral_n1(bits))
             assert threading.active_count() == before  # helpers joined
         assert counts == [direct_low_peaks(bits)] * 3
@@ -362,15 +362,18 @@ class TestSpectralParts:
         lengths = (1000, 2**19 - 2, 2**19, 2**21)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                             raising=False)
-        assert [randstat._part_count(n) for n in lengths] == [1, 1, 2, 2]
+        assert [randstat._part_count(n, 16) for n in lengths] == [1, 1, 2, 2]
+        # a short first stage (n1 < 16) stays on one thread at any length
+        assert [randstat._part_count(2**21, n1) for n1 in (2, 8, 15, 1024)
+                ] == [1, 1, 1, 2]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-        assert [randstat._part_count(n) for n in lengths] == [1, 1, 1, 1]
+        assert [randstat._part_count(n, 16) for n in lengths] == [1, 1, 1, 1]
         # without an affinity mask the CPU count bounds the parts
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert randstat._part_count(2**21) == 2
+        assert randstat._part_count(2**21, 1024) == 2
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert randstat._part_count(2**21) == 1
+        assert randstat._part_count(2**21, 1024) == 1
 
     @pytest.mark.parametrize("stage", ["rfft", "fft"])
     @pytest.mark.parametrize("failing, raised", [
@@ -392,7 +395,7 @@ class TestSpectralParts:
             return transform(x)
 
         bits = np.random.default_rng(30).integers(0, 2, 2**19, np.uint8)
-        monkeypatch.setattr(randstat, "_part_count", lambda n: 2)
+        monkeypatch.setattr(randstat, "_part_count", lambda n, n1: 2)
         before = threading.active_count()
         monkeypatch.setattr(np.fft, stage, flaky)
         with pytest.raises(PartFailed, match=raised):
@@ -405,7 +408,7 @@ class TestSpectralParts:
         # change the count
         bits = np.random.default_rng(32).integers(0, 2, 2**18, np.uint8)
         expected = direct_low_peaks(bits)
-        monkeypatch.setattr(randstat, "_part_count", lambda n: 4)
+        monkeypatch.setattr(randstat, "_part_count", lambda n, n1: 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
