@@ -25,14 +25,15 @@ around it.
 Blocks share nothing but read-only inputs, so a large payload runs on two
 cores: when the process may run on two CPUs and no other Python thread is
 alive, the calling thread runs the first half of the blocks and one forked
-helper process the second, sending its rows of the output back through a
-pipe. Every block runs the same kernel either way, so the bytes are the
-same on one CPU and on two. Threads would not help: GIL handoffs between
-the kernel's microsecond-sized numpy calls cost more than a second core
-gives.
+helper process the second, writing its rows straight into output pages
+the two processes share. Every block runs the same kernel either way, so
+the bytes are the same on one CPU and on two. Threads would not help: GIL
+handoffs between the kernel's microsecond-sized numpy calls cost more than
+a second core gives.
 """
 
 import gc
+import mmap
 import os
 import threading
 import warnings
@@ -357,7 +358,13 @@ def _run_blocks(data, key, stream, inverse=False):
         keys = (keys[ROUNDS], *map(_inv_mix_columns, keys[9:0:-1]), keys[0])
     keys = np.frombuffer(b"".join(keys), np.uint8).reshape(-1, BLOCK_BYTES, 1)
     kernel = _decrypt_rows if inverse else _encrypt_rows
-    out = np.empty_like(state)
+    split = (blocks >= _SPLIT_BLOCKS and hasattr(os, "fork")
+             and threading.active_count() == 1 and _host.available_cpus() > 1)
+    if split:  # anonymous shared pages: the helper writes its rows in place
+        out = np.frombuffer(mmap.mmap(-1, state.nbytes, mmap.MAP_SHARED),
+                            np.uint8).reshape(state.shape)
+    else:
+        out = np.empty_like(state)
 
     def run(lo, hi):
         for start in range(lo, hi, CHUNK_BLOCKS):
@@ -368,49 +375,39 @@ def _run_blocks(data, key, stream, inverse=False):
             np.bitwise_xor(rows[:, :n].T, keys[ROUNDS].T,
                            out=out[start:start + n])
 
-    if (blocks < _SPLIT_BLOCKS or not hasattr(os, "fork")
-            or threading.active_count() > 1 or _host.available_cpus() < 2):
-        run(0, blocks)
+    if split:
+        _in_two_processes(run, blocks)
     else:
-        _in_two_processes(run, blocks, out)
+        run(0, blocks)
     return out.tobytes()
 
 
-def _in_two_processes(run, blocks, out):
+def _in_two_processes(run, blocks):
     """run(0, mid) on the calling thread while a forked helper runs
-    run(mid, blocks) and sends those rows of `out` back through a pipe."""
+    run(mid, blocks); the output's pages are shared, so the helper's rows
+    are in place once it has exited with status 0."""
     mid = blocks // 2
-    tail = memoryview(out[mid:]).cast("B")
-    r, w = os.pipe()
-    with open(r, "rb") as src, open(w, "wb") as sink:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on forking a multi-threaded process, and
-            # importing numpy starts an OpenBLAS thread. The helper is safe
-            # all the same: it runs numpy array ops, which call no BLAS,
-            # then leaves by os._exit.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-        if not pid:
-            try:
-                gc.disable()  # a collection could rerun caller finalizers
-                src.close()  # so a write fails once the caller stops reading
-                run(mid, blocks)
-                sink.write(tail)
-                sink.flush()
-                os._exit(0)
-            finally:
-                os._exit(1)
-        sink.close()  # so the read ends at EOF if the helper dies
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on forking a multi-threaded process, and
+        # importing numpy starts an OpenBLAS thread. The helper is safe all
+        # the same: it runs numpy array ops, which call no BLAS, then leaves
+        # by os._exit.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if not pid:
         try:
-            run(0, mid)
-            got = src.readinto(tail)
+            gc.disable()  # a collection could rerun caller finalizers
+            run(mid, blocks)
+            os._exit(0)
         finally:
-            src.close()
-            status = os.waitpid(pid, 0)[1]
-    if status or got != len(tail):
-        code = os.waitstatus_to_exitcode(status)
-        raise VpaesError(f"payload helper process failed (exit code {code}, "
-                         f"{got} of {len(tail)} bytes)")
+            os._exit(1)
+    try:
+        run(0, mid)
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise VpaesError("payload helper process failed (exit code "
+                         f"{os.waitstatus_to_exitcode(status)})")
 
 
 def encrypt_payload_with_stream(data, key, stream):

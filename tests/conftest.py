@@ -1,5 +1,6 @@
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -36,6 +37,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def fips_key():
     return Key128(FIPS_KEY)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made while the test runs; afterwards, no child
+    process may be left."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield calls
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def random_image(width, height, channels, seed=0):

@@ -261,7 +261,7 @@ def test_criterion_09_key_sensitivity():
           f"(<= 0.05 at 3000 samples)")
 
 
-def test_criterion_10_performance():
+def test_criterion_10_performance(forks):
     img = random_image(512, 512, 3, seed=2026)
     padded, _ = pad_payload(img.data)
     blocks = len(padded) // 16
@@ -279,4 +279,4 @@ def test_criterion_10_performance():
     check(10, keystream_elapsed <= 30.0 and encrypt_elapsed <= 3.0,
           f"512x512 colour: keystream {keystream_elapsed:.2f}s (<= 30 s), "
           f"encryption excluding keystream {encrypt_elapsed:.2f}s (<= 3 s), "
-          f"single-threaded")
+          f"on {'two processes' if forks else 'one process'}")

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import signal
 import threading
 import tracemalloc
 
@@ -487,23 +488,6 @@ CHUNK_CASES = st.integers(1, 9).flatmap(lambda k: st.tuples(
               st.integers(1, 40))))
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The os.fork calls made while the test runs; afterwards, no child
-    process may be left."""
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(threading.active_count())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    yield calls
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestChunking:
     KEY = TestPayload.KEY
     DATA = bytes(random.Random(47).randrange(256) for _ in range(16 * 40))
@@ -543,9 +527,11 @@ class TestChunking:
         assert len(forks) == 2
 
     @pytest.mark.parametrize("run", DIRECTIONS, ids=["encrypt", "decrypt"])
-    def test_peak_memory_grows_with_the_payload_only(self, run):
+    def test_peak_memory_grows_with_the_payload_only(self, monkeypatch, run):
         # beyond the output, a payload call holds one chunk's working set,
         # so from 4 to 8 chunks the traced peak grows by the added output
+        # (on one process: tracemalloc cannot see the split's shared output)
+        monkeypatch.setattr(_host, "available_cpus", lambda: 1)
         chunk = cipher.CHUNK_BLOCKS
         rng = np.random.default_rng(53)
         peaks = []
@@ -562,9 +548,11 @@ class TestChunking:
         assert peaks[1] - peaks[0] <= 3 * 16 * 4 * chunk
 
     @pytest.mark.parametrize("run", DIRECTIONS, ids=["encrypt", "decrypt"])
-    def test_peak_memory_beyond_input_and_output(self, run):
+    def test_peak_memory_beyond_input_and_output(self, monkeypatch, run):
         # beyond the output array and the returned bytes, a call holds one
-        # chunk's bit rows, slot table and round states: about 1 MiB
+        # chunk's bit rows, slot table and round states: about 1 MiB (on
+        # one process, as above)
+        monkeypatch.setattr(_host, "available_cpus", lambda: 1)
         blocks = 4 * cipher.CHUNK_BLOCKS
         rng = np.random.default_rng(59)
         stream = FractionStream(rng.integers(
@@ -658,7 +646,7 @@ class TestTwoProcesses:
         # a helper's failure arrives as VpaesError, with no bytes returned;
         # the caller's own exception passes through once the helper is
         # reaped (the fixture checks that none is left)
-        error, match = VpaesError, "exit code 1, 0 of"
+        error, match = VpaesError, r"exit code 1\)"
         if failing == "caller":
             error, match = HalfFailed, "caller"
         try:
@@ -667,4 +655,22 @@ class TestTwoProcesses:
         finally:
             if os.getpid() != caller:  # a helper that did not leave by
                 os._exit(99)  # os._exit must not run on inside pytest
+        assert len(forks) == 1
+
+    def test_helper_killed_by_a_signal(self, monkeypatch, forks):
+        # with no byte count, the wait status alone tells a half-written
+        # output from a whole one
+        caller = os.getpid()
+        kernel = cipher._encrypt_rows
+
+        def killed(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return kernel(*args)
+
+        data, stream = self.payload(cipher._SPLIT_BLOCKS)
+        monkeypatch.setattr(_host, "available_cpus", lambda: 2)
+        monkeypatch.setattr(cipher, "_encrypt_rows", killed)
+        with pytest.raises(VpaesError, match=f"exit code -{signal.SIGKILL}"):
+            cipher._run_blocks(data, self.KEY, stream)
         assert len(forks) == 1
