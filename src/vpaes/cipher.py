@@ -22,28 +22,17 @@ after a (5,0,4,0) pre-pass (Daemen & Rijmen, The Design of Rijndael,
 composition and, with one permutation for every block, against AES-128-ECB
 around it.
 
-Blocks share nothing but read-only inputs, so a large payload runs on two
-cores: when the process may run on two CPUs and no other Python thread is
-alive, the calling thread runs the first half of the blocks and one forked
-helper process the second, writing its rows straight into output pages
-the two processes share. Every block runs the same kernel either way, so
-the bytes are the same on one CPU and on two. Threads would not help: GIL
-handoffs between the kernel's microsecond-sized numpy calls cost more than
-a second core gives.
+From _SPLIT_BLOCKS blocks on, a payload may run on two cores (see _host).
 """
 
-import gc
 import mmap
-import os
-import threading
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import _host
-from .errors import DomainError, VpaesError
+from .errors import DomainError
 from .keystream import key_to_integer, pi_fraction_bytes, required_byte_count
 from .permgen import (
     BLOCK_BITS, BLOCK_BYTES, WINDOW_BYTES, apply_to_bits, invert)
@@ -180,11 +169,11 @@ _ROTATE = {k: [i - i % 4 + (i + k) % 4 for i in range(16)] for k in (1, 2)}
 # with padded bit rows, 8,192 saved about 5% but doubled the working set.
 CHUNK_BLOCKS = 4096
 # Payloads of at least this many blocks are split between the caller and one
-# forked helper process (_in_two_processes). The helper costs about 8 ms:
-# fork, its late start and copy-on-write faults, and its exit. Two processes
-# against one, medians of 61 alternated encrypts in a process holding 40 MiB,
-# 2-core x86-64: 0.96-1.03 at 8,192 blocks, 0.93-1.00 at 12,288, 0.87-0.90
-# at 16,384, 0.74-0.75 at 24,576 and 0.64-0.67 at 49,152 (512x512 colour).
+# forked helper process (_host). The helper costs about 8 ms: fork, its late
+# start and copy-on-write faults, and its exit. Two processes against one,
+# medians of 61 alternated encrypts in a process holding 40 MiB, 2-core
+# x86-64: 0.96-1.03 at 8,192 blocks, 0.93-1.00 at 12,288, 0.87-0.90 at
+# 16,384, 0.74-0.75 at 24,576 and 0.64-0.67 at 49,152 (512x512 colour).
 _SPLIT_BLOCKS = 16384
 # Bytes added to every bit row: a row stride that is a multiple of 4,096
 # bytes maps column j of every row to one cache set, which doubled the cost
@@ -347,8 +336,7 @@ def _run_blocks(data, key, stream, inverse=False):
     every block; W is n in whole uint64 words) and back with the last key's
     XOR into one preallocated output, so the working set stays cache-sized
     and memory stays bounded whatever the payload size. From _SPLIT_BLOCKS
-    blocks on, when the process may run on two CPUs and no other Python
-    thread is alive, a forked helper runs the second half of the blocks."""
+    blocks on, a forked helper may run the second half (see _host)."""
     blocks = _aligned_blocks(data)
     if not blocks:
         return b""
@@ -358,8 +346,7 @@ def _run_blocks(data, key, stream, inverse=False):
         keys = (keys[ROUNDS], *map(_inv_mix_columns, keys[9:0:-1]), keys[0])
     keys = np.frombuffer(b"".join(keys), np.uint8).reshape(-1, BLOCK_BYTES, 1)
     kernel = _decrypt_rows if inverse else _encrypt_rows
-    split = (blocks >= _SPLIT_BLOCKS and hasattr(os, "fork")
-             and threading.active_count() == 1 and _host.available_cpus() > 1)
+    split = blocks >= _SPLIT_BLOCKS and _host.may_fork()
     if split:  # anonymous shared pages: the helper writes its rows in place
         out = np.frombuffer(mmap.mmap(-1, state.nbytes, mmap.MAP_SHARED),
                             np.uint8).reshape(state.shape)
@@ -376,38 +363,10 @@ def _run_blocks(data, key, stream, inverse=False):
                            out=out[start:start + n])
 
     if split:
-        _in_two_processes(run, blocks)
+        _host.in_two_processes(run, blocks)
     else:
         run(0, blocks)
     return out.tobytes()
-
-
-def _in_two_processes(run, blocks):
-    """run(0, mid) on the calling thread while a forked helper runs
-    run(mid, blocks); the output's pages are shared, so the helper's rows
-    are in place once it has exited with status 0."""
-    mid = blocks // 2
-    with warnings.catch_warnings():
-        # Python 3.12+ warns on forking a multi-threaded process, and
-        # importing numpy starts an OpenBLAS thread. The helper is safe all
-        # the same: it runs numpy array ops, which call no BLAS, then leaves
-        # by os._exit.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if not pid:
-        try:
-            gc.disable()  # a collection could rerun caller finalizers
-            run(mid, blocks)
-            os._exit(0)
-        finally:
-            os._exit(1)
-    try:
-        run(0, mid)
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if status:
-        raise VpaesError("payload helper process failed (exit code "
-                         f"{os.waitstatus_to_exitcode(status)})")
 
 
 def encrypt_payload_with_stream(data, key, stream):

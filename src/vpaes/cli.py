@@ -267,7 +267,9 @@ def _build_parser():
             p.add_argument("--samples", type=_at_least(2),
                            default=randstat.DEFAULT_SAMPLES)
             p.add_argument("--seed", type=_at_least(0), default=0)
-        p.add_argument("--report", choices=["text", "json"], default="text")
+        if not output:  # a report, written to --out or to stdout
+            p.add_argument("--report", choices=["text", "json"],
+                           default="text")
         if view:
             p.add_argument("--view", metavar="PATH",
                            help="also write the ciphertext as a P6 image")

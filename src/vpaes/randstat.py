@@ -14,7 +14,6 @@ Samplers are seeded, so every reported number is reproducible from
 """
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,37 +199,6 @@ def _part_count(n, n1):
     return max(1, min(_MAX_PARTS, _host.available_cpus(), n // _PART_BITS))
 
 
-def _in_parts(parts, work):
-    """[work(0), .., work(parts - 1)]: part 0 runs on the calling thread and
-    the others on helper threads, all joined before this returns, so no
-    thread outlives the call. The lowest part's exception is re-raised here.
-    numpy's FFTs and array arithmetic release the GIL, so the parts run in
-    parallel."""
-    results = [None] * parts
-    errors = [None] * parts
-
-    def run(i):
-        try:
-            results[i] = work(i)
-        except BaseException as exc:
-            errors[i] = exc
-
-    helpers = []
-    try:
-        for i in range(1, parts):
-            helper = threading.Thread(target=run, args=(i,))
-            helper.start()
-            helpers.append(helper)
-        run(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
-
-
 def _low_peaks(bits, threshold):
     """How many of |X_1| .. |X_{n/2-1}| lie below `threshold`, X the DFT of
     the +/-1 sequence of `bits` (even length n), in float64.
@@ -246,9 +214,9 @@ def _low_peaks(bits, threshold):
     n-sized one.
 
     Each stage's batches are dealt out to _part_count(n, n1) parts
-    (_in_parts): first-stage batches write disjoint column blocks of that
-    array, and second-stage batches each return an integer count, so the
-    parts change no number.
+    (_host.in_parts; numpy's FFTs release the GIL): first-stage batches
+    write disjoint column blocks of that array, and second-stage batches
+    each return an integer count, so the parts change no number.
     """
     n = len(bits)
     divisors = np.arange(1, math.isqrt(n) + 1)
@@ -284,7 +252,7 @@ def _low_peaks(bits, threshold):
             z[:, lo:lo + m] = y.T
             del y  # before the next batch's rfft allocates its own
 
-    _in_parts(parts, first)
+    _host.in_parts(parts, first)
     edges = [0, n1 // 2] if n1 % 2 == 0 else [0]
     k = np.array(edges)[:, None] + n1 * np.arange(n2)
     low = np.abs(np.fft.fft(z[edges])) < threshold
@@ -297,7 +265,7 @@ def _low_peaks(bits, threshold):
             np.abs(np.fft.fft(inner[i:i + step])) < threshold)
             for i in range(part * step, len(inner), parts * step))
 
-    return int(count + sum(_in_parts(parts, second)))
+    return int(count + sum(_host.in_parts(parts, second)))
 
 
 def spectral_dft_test(bits, alpha=0.01, channel=""):

@@ -623,6 +623,15 @@ class TestTwoProcesses:
         encrypt_payload_with_stream(data, self.KEY, stream)
         assert forks == [1]
 
+    def test_no_fork_on_a_platform_without_fork(self, monkeypatch, forks):
+        data, stream = self.payload(cipher._SPLIT_BLOCKS)
+        monkeypatch.setattr(_host, "available_cpus", lambda: 1)
+        one = encrypt_payload_with_stream(data, self.KEY, stream)
+        monkeypatch.setattr(_host, "available_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        assert encrypt_payload_with_stream(data, self.KEY, stream) == one
+        assert not forks
+
     @pytest.mark.parametrize("failing", ["helper", "caller"])
     @pytest.mark.parametrize("inverse", [False, True],
                              ids=["encrypt", "decrypt"])

@@ -187,6 +187,18 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--seed: must be at least 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+    def test_report_is_a_usage_error_without_a_report(self, tmp_path, capsys,
+                                                      command):
+        # encrypt and decrypt write no report, so they take no --report
+        argv = [command, "--in", str(tmp_path / "in"), "--out",
+                str(tmp_path / "out"), "--key", KEY, "--report", "json"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --report" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_key_is_2(self, tmp_path):
         img = random_image(4, 4, 3, seed=6)
         src = write_ppm(tmp_path / "in.ppm", img)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import random_image, text_style_image
 from oracles import brute_spectral
 import vpaes
-from vpaes import randstat
+from vpaes import _host, randstat
 from vpaes.errors import DomainError, PreconditionError
 from vpaes.imageio import CipherContainer, ImageBuffer
 from vpaes.randstat import TestReport as StatReport
@@ -401,6 +402,34 @@ class TestSpectralParts:
         with pytest.raises(PartFailed, match=raised):
             spectral_dft_test(bits)
         assert threading.active_count() == before
+
+    def test_thread_that_cannot_start(self, monkeypatch):
+        # the second helper of three parts fails to start: its error reaches
+        # the caller, and the helper that did start is joined first
+        class StartFailed(RuntimeError):
+            pass
+
+        start = threading.Thread.start
+        started = []
+
+        def flaky_start(thread):
+            if started:
+                raise StartFailed("cannot start part 2")
+            started.append(thread)
+            start(thread)
+
+        ran = []
+
+        def work(part):
+            time.sleep(0.05)  # still running when part 2 fails to start
+            ran.append(part)
+
+        before = threading.active_count()
+        monkeypatch.setattr(threading.Thread, "start", flaky_start)
+        with pytest.raises(StartFailed, match="part 2"):
+            _host.in_parts(3, work)
+        assert threading.active_count() == before
+        assert ran == [1]  # part 1 ran to its end; parts 0 and 2 never ran
 
     def test_more_parts_than_cores_under_fast_switching(self, monkeypatch):
         # four parts on at most two cores, with the interpreter switching
