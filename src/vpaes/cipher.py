@@ -33,7 +33,8 @@ import numpy as np
 
 from . import _host
 from .errors import DomainError
-from .keystream import key_to_integer, pi_fraction_bytes, required_byte_count
+from .keystream import (
+    key_to_integer, pi_fraction_bytes, required_byte_count, window)
 from .permgen import (
     BLOCK_BITS, BLOCK_BYTES, WINDOW_BYTES, apply_to_bits, invert)
 
@@ -198,7 +199,7 @@ def _bit_rows(blocks):
     return np.empty((BLOCK_BITS, -(-blocks // 8) * 8 + _ROW_PAD), np.uint8)
 
 
-def _permute(byte_rows, stream, start, blocks, inverse=False):
+def _permute(byte_rows, windows, start, blocks, inverse=False):
     """Every block's bit permutation, or its inverse, on byte rows.
 
     The bits go into position-major rows (bit 0 is the MSB of byte 0),
@@ -214,7 +215,7 @@ def _permute(byte_rows, stream, start, blocks, inverse=False):
     into, out_of = (flipped, words) if inverse else (words, flipped)
     np.right_shift(byte_rows.view(np.uint64)[:, None], _BIT_SHIFTS, out=into)
     into &= _LOW_BITS
-    _shuffle(rows, stream, start, blocks, reverse=inverse)
+    _shuffle(rows, windows, start, blocks, reverse=inverse)
     out_of <<= _BIT_SHIFTS
     return np.bitwise_or.reduce(out_of, axis=1).view(np.uint8)
 
@@ -227,22 +228,19 @@ def _slot_table(stride):
     return table
 
 
-def _shuffle(rows, stream, start, blocks, reverse=False):
+def _shuffle(rows, windows, start, blocks, reverse=False):
     """The selection pass of blocks start..start+blocks-1, in place on the
     position-major arrangement `rows`; reverse=True undoes it.
 
-    Window j starts at stream byte j, so digit i of every block comes from
-    raw[start+i:][:blocks]. Step i swaps the selected element of each block
-    into the last live row, 127-i, which leaves the selection sequence in
-    reverse row order. A swap never looks at the values it moves, so rows
-    of state bits are permuted exactly as rows of positions would be, and
-    running the steps backwards restores them.
+    Window j starts at byte j of `windows`, keystream.window's bytes, so digit
+    i of every block comes from raw[start+i:][:blocks]. Step i swaps the
+    selected element of each block into the last live row, 127-i, which leaves
+    the selection sequence in reverse row order. A swap never looks at the
+    values it moves, so rows of state bits are permuted exactly as rows of
+    positions would be, and running the steps backwards restores them.
     """
-    if stream.count < required_byte_count(start + blocks):
-        raise DomainError(f"stream of {stream.count} bytes cannot serve "
-                          f"blocks {start}..{start + blocks - 1}")
     # as intp, so no step converts its byte indices into the slot table
-    raw = np.frombuffer(stream.data, dtype=np.uint8)[
+    raw = np.frombuffer(windows, dtype=np.uint8)[
         start:start + blocks + WINDOW_BYTES - 1].astype(np.intp)
     flat = rows.reshape(-1)
     slot_table = _slot_table(rows.strides[0])
@@ -266,12 +264,10 @@ def derive_permutation_matrix(stream, blocks, start=0):
     permutation_from_coefficients per block. This is _shuffle, the pass the
     payload kernels run on state bits, run on position numbers.
     """
-    if blocks < 1 or start < 0:
-        raise DomainError(
-            f"need blocks >= 1 and start >= 0, got {blocks} and {start}")
+    windows = window(stream, start, blocks)
     rows = _bit_rows(blocks)
     rows[:, :blocks] = np.arange(BLOCK_BITS, dtype=np.uint8)[:, None]
-    _shuffle(rows, stream, start, blocks)
+    _shuffle(rows, windows, 0, blocks)
     return rows[::-1, :blocks].T
 
 
@@ -310,14 +306,14 @@ def _rounds(rows, keys, sbox, shift, mix):
 
 # The kernels run one chunk's byte rows from the first round key's XOR to
 # just before the last one's; keys holds the nine inner keys in their order.
-def _encrypt_rows(rows, stream, start, blocks, keys):
-    rows = _permute(rows, stream, start, blocks)
+def _encrypt_rows(rows, windows, start, blocks, keys):
+    rows = _permute(rows, windows, start, blocks)
     return _rounds(rows, keys, _PAIR_SBOX, SHIFT_IDX, _mix)
 
 
-def _decrypt_rows(rows, stream, start, blocks, keys):
+def _decrypt_rows(rows, windows, start, blocks, keys):
     rows = _rounds(rows, keys, _PAIR_INV_SBOX, INV_SHIFT_IDX, _inv_mix)
-    return _permute(rows, stream, start, blocks, inverse=True)
+    return _permute(rows, windows, start, blocks, inverse=True)
 
 
 def _aligned_blocks(data):
@@ -340,6 +336,7 @@ def _run_blocks(data, key, stream, inverse=False):
     blocks = _aligned_blocks(data)
     if not blocks:
         return b""
+    windows = window(stream, 0, blocks)  # before any chunk runs or forks
     state = np.frombuffer(data, dtype=np.uint8).reshape(blocks, BLOCK_BYTES)
     keys = expand_key(key).keys
     if inverse:
@@ -358,7 +355,7 @@ def _run_blocks(data, key, stream, inverse=False):
             n = min(CHUNK_BLOCKS, hi - start)
             rows = np.empty((BLOCK_BYTES, -(-n // 8) * 8), np.uint8)
             np.bitwise_xor(state[start:start + n].T, keys[0], out=rows[:, :n])
-            rows = kernel(rows, stream, start, n, keys[1:ROUNDS])
+            rows = kernel(rows, windows, start, n, keys[1:ROUNDS])
             np.bitwise_xor(rows[:, :n].T, keys[ROUNDS].T,
                            out=out[start:start + n])
 

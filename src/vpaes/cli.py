@@ -261,8 +261,6 @@ def _build_parser():
                            help=f"{8 * KEY_BYTES}-bit key as {_KEY_DIGITS} "
                            "hex characters")
         if stats:
-            p.add_argument("--alpha", type=float, default=0.01,
-                           choices=[0.01, 0.001])
             # a correlation needs at least two pixel pairs
             p.add_argument("--samples", type=_at_least(2),
                            default=randstat.DEFAULT_SAMPLES)
@@ -273,10 +271,12 @@ def _build_parser():
         if view:
             p.add_argument("--view", metavar="PATH",
                            help="also write the ciphertext as a P6 image")
+        return p
 
     add("encrypt", cmd_encrypt, key=True, output=True, view=True)
     add("decrypt", cmd_decrypt, key=True, output=True)
-    add("analyze", cmd_analyze, stats=True)
+    add("analyze", cmd_analyze, stats=True).add_argument(
+        "--alpha", type=float, default=0.01, choices=[0.01, 0.001])
     add("select-score", cmd_select_score)
     add("sensitivity", cmd_sensitivity, key=True, stats=True)
     return parser

@@ -111,12 +111,14 @@ def required_byte_count(blocks):
     return blocks + WINDOW_BYTES - 1
 
 
-def window(stream, j):
-    """Bytes j..j+126 of the stream: the digit window for block j."""
-    if j < 0 or j + WINDOW_BYTES > stream.count:
-        raise DomainError(
-            f"window {j} out of range for stream of {stream.count} bytes")
-    return stream.data[j:j + WINDOW_BYTES]
+def window(stream, j, blocks=1):
+    """Bytes j..j+blocks+125 of the stream: the digit windows of blocks
+    j..j+blocks-1. The one check of a stream against the blocks it serves."""
+    end = j + blocks + WINDOW_BYTES - 1
+    if j < 0 or blocks < 1 or end > stream.count:
+        raise DomainError(f"stream of {stream.count} bytes cannot serve "
+                          f"blocks {j}..{j + blocks - 1}")
+    return stream.data[j:end]
 
 
 def _chudnovsky_split(a, b, need_p=True):

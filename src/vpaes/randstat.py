@@ -30,6 +30,15 @@ DIRECTIONS = ("horizontal", "vertical", "diagonal")
 _STEPS = {"horizontal": (0, 1), "vertical": (1, 0), "diagonal": (1, 1)}
 _CHANNEL_INDEX = {"red": 0, "green": 1, "blue": 2, "gray": 0}
 _FFT_BLOCK = 1 << 14  # complex entries per second-stage batch: 256 KiB
+# The array between the spectral kernel's stages is held in row blocks of
+# _Z_BATCHES second-stage batches (4 MiB at 2^21 bits), which malloc serves
+# from heap space that earlier frees left resident; one n-sized array would
+# map fresh pages. The last call's blocks are kept for the next call of that
+# length up to _KEEP_BYTES, malloc's largest mmap threshold: freed, they go
+# back to the system, and refaulting them cost a third of a 2^21-bit test.
+_Z_BATCHES = 16
+_KEEP_BYTES = 1 << 25
+_spare = {}  # bit count -> the blocks of the last call of that length
 # The spectral kernel runs on at most two threads: two is the only count
 # measured, and each part holds about 0.75 MiB of batch temporaries for a
 # 512x512 channel.
@@ -211,7 +220,7 @@ def _low_peaks(bits, threshold):
     |X_{n-k}|, and a row 0 < k1 < n1/2 holds exactly one of each such pair,
     while rows 0 and n1/2 hold both, so there only 1 <= k < n/2 counts.
     The array between the stages, 16*n2*(n1//2 + 1) bytes, is the only
-    n-sized one.
+    n-sized one; it is held in row blocks (_Z_BATCHES).
 
     Each stage's batches are dealt out to _part_count(n, n1) parts
     (_host.in_parts; numpy's FFTs release the GIL): first-stage batches
@@ -231,7 +240,11 @@ def _low_peaks(bits, threshold):
     turn = -2j * math.pi / n
     coarse = np.exp(np.arange(0, n2, s)[:, None] * k1 % n * turn)
     fine = np.exp(np.arange(s)[:, None] * k1 % n * turn)
-    z = np.empty((len(k1), n2), complex)  # z[k1, j2]
+    step = max(1, _FFT_BLOCK // n2)
+    tall = _Z_BATCHES * step
+    tops = range(0, len(k1), tall)
+    zs = _spare.pop(n, None) or [  # z[k1, j2] is zs[k1 // tall][k1 % tall, j2]
+        np.empty((min(tall, len(k1) - r), n2), complex) for r in tops]
     parts = _part_count(n, n1)
     # one buffer per part, allocated on the calling thread rather than in a
     # helper's malloc arena: a batch's +/-1 rows (n1 floats a row) until its
@@ -249,23 +262,28 @@ def _low_peaks(bits, threshold):
             x -= 1.0
             y = np.fft.rfft(x)
             y *= np.multiply(coarse[a], fine[:m], out=buf[:m])
-            z[:, lo:lo + m] = y.T
+            for r, zr in zip(tops, zs):
+                zr[:, lo:lo + m] = y[:, r:r + tall].T
             del y  # before the next batch's rfft allocates its own
 
     _host.in_parts(parts, first)
     edges = [0, n1 // 2] if n1 % 2 == 0 else [0]
     k = np.array(edges)[:, None] + n1 * np.arange(n2)
-    low = np.abs(np.fft.fft(z[edges])) < threshold
-    count = np.count_nonzero(low & (k >= 1) & (2 * k < n))
-    inner = z[1:(n1 + 1) // 2]
-    step = max(1, _FFT_BLOCK // n2)
+    mag = np.abs(np.fft.fft([zs[e // tall][e % tall] for e in edges]))
+    count = np.count_nonzero((mag < threshold) & (k >= 1) & (2 * k < n))
+    # second-stage batches: up to step rows of a block, of k1 = 1..(n1-1)//2
+    inner = [zr[max(a, 1 - r):min(a + step, (n1 + 1) // 2 - r)]
+             for r, zr in zip(tops, zs) for a in range(0, len(zr), step)]
 
     def second(part):
-        return sum(np.count_nonzero(
-            np.abs(np.fft.fft(inner[i:i + step])) < threshold)
-            for i in range(part * step, len(inner), parts * step))
+        return sum(np.count_nonzero(np.abs(np.fft.fft(v)) < threshold)
+                   for v in inner[part::parts])
 
-    return int(count + sum(_host.in_parts(parts, second)))
+    count += sum(_host.in_parts(parts, second))
+    if 16 * len(k1) * n2 <= _KEEP_BYTES:
+        _spare.clear()
+        _spare[n] = zs
+    return int(count)
 
 
 def spectral_dft_test(bits, alpha=0.01, channel=""):

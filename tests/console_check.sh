@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # End to end through the installed `vpaes` console script, which no test
 # calls: a P6 round trip must give back the input's bytes, a negative --seed
-# must be a usage error (exit 2), and analyze on a 64x64 container must exit
-# 0 with all 18 results (6 tests x 3 channels) and no error entry. It runs
-# in a temporary directory; a CPU pinning such as `taskset -c 0 bash
+# and sensitivity's --alpha (only analyze takes one) must be usage errors
+# (exit 2), analyze on a 64x64 container must exit 0 with all 18 results
+# (6 tests x 3 channels) and no error entry, and select-score and
+# sensitivity on the 64x64 image must exit 0 with one result a channel
+# (sensitivity adds the largest |r|). It runs in a temporary directory; a CPU pinning such as `taskset -c 0 bash
 # tests/console_check.sh` holds for every command it starts.
 set -euo pipefail
 work=$(mktemp -d)
@@ -21,4 +23,11 @@ python -c "import sys; sys.stdout.buffer.write(b'P6\n64 64\n255\n' + bytes(range
 vpaes encrypt --in sq.ppm --out ct.vpaes --key $key
 vpaes analyze --in ct.vpaes --report json --out r.json
 python -c "import json; r = json.load(open('r.json'))['results']; assert len(r) == 18 and all('error' not in e for e in r), r"
+vpaes select-score --in sq.ppm --report json --out s.json
+python -c "import json; r = json.load(open('s.json'))['results']; assert len(r) == 3, r"
+vpaes sensitivity --in sq.ppm --key $key --report json --out k.json
+python -c "import json; r = json.load(open('k.json'))['results']; assert len(r) == 4, r"
+status=0
+vpaes sensitivity --in sq.ppm --key $key --alpha 0.01 || status=$?
+test "$status" -eq 2
 echo "console check passed"

@@ -260,13 +260,13 @@ class TestShuffle:
         rows[:] = np.random.default_rng(seed).integers(
             0, 256, rows.shape, np.uint8)
         before = rows.copy()
-        _shuffle(rows, stream, start, blocks)
+        _shuffle(rows, stream.data, start, blocks)
         matrix = derive_permutation_matrix(stream, blocks, start)
         gathered = np.take_along_axis(
             before[:, :blocks].T, matrix.astype(np.intp), axis=1)
         assert np.array_equal(rows[::-1, :blocks].T, gathered)
         assert np.array_equal(rows[:, blocks:], before[:, blocks:])
-        _shuffle(rows, stream, start, blocks, reverse=True)
+        _shuffle(rows, stream.data, start, blocks, reverse=True)
         assert np.array_equal(rows, before)
 
     @pytest.fixture(scope="class")
@@ -325,7 +325,7 @@ class TestRowKernels:
             outer = keys[0], keys[10]
             inner = keys[1:10]
             kernel, scalar = _encrypt_rows, encrypt_block
-        out = kernel(rows.copy(), stream, start, blocks, np.frombuffer(
+        out = kernel(rows.copy(), stream.data, start, blocks, np.frombuffer(
             b"".join(inner), np.uint8).reshape(9, 16, 1))
         assert out.shape == rows.shape
         for j in range(blocks):
@@ -622,6 +622,26 @@ class TestTwoProcesses:
         assert not forks
         encrypt_payload_with_stream(data, self.KEY, stream)
         assert forks == [1]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("run", DIRECTIONS, ids=["encrypt", "decrypt"])
+    def test_short_stream_rejected_before_any_work(self, monkeypatch, forks,
+                                                   run, cpus):
+        # one check of the stream against every block, before any chunk
+        # runs or the helper forks
+        data, stream = self.payload(cipher._SPLIT_BLOCKS)
+        calls = []
+        for name in ("_encrypt_rows", "_decrypt_rows"):
+            def counted(*args, kernel=getattr(cipher, name)):
+                calls.append(args[2])  # the chunk's first block
+                return kernel(*args)
+            monkeypatch.setattr(cipher, name, counted)
+        monkeypatch.setattr(_host, "available_cpus", lambda: cpus)
+        with pytest.raises(DomainError, match=(
+                f"cannot serve blocks 0..{cipher._SPLIT_BLOCKS - 1}$")):
+            run(data, self.KEY, FractionStream(stream.data[:-1]))
+        assert not calls
+        assert not forks
 
     def test_no_fork_on_a_platform_without_fork(self, monkeypatch, forks):
         data, stream = self.payload(cipher._SPLIT_BLOCKS)

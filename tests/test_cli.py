@@ -199,6 +199,16 @@ class TestExitCodes:
         assert "unrecognized arguments: --report" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_alpha_is_a_usage_error_for_sensitivity(self, tmp_path, capsys):
+        # sensitivity runs no test at a significance level, and its report
+        # records no alpha
+        src = write_ppm(tmp_path / "in.ppm", random_image(8, 8, 3, seed=7))
+        with pytest.raises(SystemExit) as exc:
+            main(["sensitivity", "--in", src, "--key", KEY,
+                  "--alpha", "0.01"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --alpha" in capsys.readouterr().err
+
     def test_zero_key_is_2(self, tmp_path):
         img = random_image(4, 4, 3, seed=6)
         src = write_ppm(tmp_path / "in.ppm", img)

@@ -362,6 +362,22 @@ class TestWindow:
         j = self.stream.count - 127
         assert len(window(self.stream, j)) == 127
 
+    # the 300-byte stream serves blocks j..j+blocks-1 while j + blocks <= 174
+    @pytest.mark.parametrize("j, blocks", [(0, 174), (57, 20), (173, 1)])
+    def test_block_range(self, j, blocks):
+        assert (window(self.stream, j, blocks)
+                == self.stream.data[j:j + blocks + 126])
+
+    @pytest.mark.parametrize("j, blocks", [(0, 175), (100, 75), (174, 1)])
+    def test_block_range_one_byte_short(self, j, blocks):
+        with pytest.raises(DomainError, match="cannot serve"):
+            window(self.stream, j, blocks)
+
+    @pytest.mark.parametrize("j, blocks", [(-1, 20), (0, 0), (5, -1)])
+    def test_negative_start_or_no_blocks(self, j, blocks):
+        with pytest.raises(DomainError):
+            window(self.stream, j, blocks)
+
 
 class TestRequiredByteCount:
     def test_one_block_needs_one_window(self):

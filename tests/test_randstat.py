@@ -332,6 +332,36 @@ class TestSpectralKernel:
         assert spectral_n1(bits) == direct_low_peaks(bits)
 
 
+class TestSpectralBlocks:
+    """The array between the stages is held in row blocks of at most
+    _Z_BATCHES second-stage batches; the last call's blocks serve the next
+    call of that length, up to _KEEP_BYTES."""
+
+    def test_blocks_are_kept_for_the_same_length(self):
+        n = 2**19  # n1 = 512, n2 = 1024: 257 rows in two blocks
+        bits = np.random.default_rng(40).integers(0, 2, n, np.uint8)
+        expected = direct_low_peaks(bits)
+        assert spectral_n1(bits) == expected
+        blocks = randstat._spare[n]
+        assert [b.shape for b in blocks] == [(256, 1024), (1, 1024)]
+        assert max(b.nbytes for b in blocks) <= (
+            16 * randstat._FFT_BLOCK * randstat._Z_BATCHES)
+        assert spectral_n1(bits) == expected
+        assert randstat._spare[n][0] is blocks[0]  # reused, stale contents
+        other = np.random.default_rng(41).integers(0, 2, 5000, np.uint8)
+        assert spectral_n1(other) == direct_low_peaks(other)
+        assert list(randstat._spare) == [5000]  # one length is kept
+        assert spectral_n1(bits) == expected
+
+    def test_blocks_over_the_limit_are_dropped(self, monkeypatch):
+        n = 2**19
+        monkeypatch.setattr(randstat, "_KEEP_BYTES", 16 * 257 * 1024 - 1)
+        bits = np.random.default_rng(42).integers(0, 2, n, np.uint8)
+        randstat._spare.pop(n, None)
+        assert spectral_n1(bits) == direct_low_peaks(bits)
+        assert n not in randstat._spare
+
+
 class TestSpectralParts:
     """The kernel deals each stage's batches out to _part_count(n, n1)
     threads. First-stage batches fill disjoint columns and second-stage
