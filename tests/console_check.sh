@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# End to end through the installed `vpaes` console script, which no test
-# calls: a P6 round trip must give back the input's bytes, a negative --seed
-# and sensitivity's --alpha (only analyze takes one) must be usage errors
-# (exit 2), analyze on a 64x64 container must exit 0 with all 18 results
-# (6 tests x 3 channels) and no error entry, and select-score and
-# sensitivity on the 64x64 image must exit 0 with one result a channel
-# (sensitivity adds the largest |r|). It runs in a temporary directory; a CPU pinning such as `taskset -c 0 bash
-# tests/console_check.sh` holds for every command it starts.
+# End to end through the installed `vpaes` console script, which no test calls:
+# a P6 round trip must give back the input's bytes, a negative --seed and
+# sensitivity's --alpha (only analyze takes one) must be usage errors (exit 2),
+# analyze on a 64x64 container must exit 0 with all 18 results (6 tests x 3
+# channels) and no error entry, and select-score and sensitivity on the 64x64
+# image must exit 0 with one result a channel (sensitivity adds the largest
+# |r|). It runs in a temporary directory, and a CPU pinning such as
+# `taskset -c 0 bash tests/console_check.sh` holds for each command it starts.
 set -euo pipefail
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT

@@ -1,4 +1,3 @@
-import hashlib
 import os
 import random
 import signal
@@ -505,26 +504,6 @@ class TestChunking:
             mp.setattr(cipher, "CHUNK_BLOCKS", chunk)
             assert [f(data, self.KEY, stream)
                     for f in self.DIRECTIONS] == one_shot
-
-    def test_multi_chunk_digest(self, monkeypatch, forks):
-        # frozen byte contract across chunk edges: more than two full
-        # chunks and a partial one (digests of the one-pass implementation),
-        # in one process and split between two
-        blocks = 10_007
-        assert blocks > 2 * cipher.CHUNK_BLOCKS
-        assert blocks % cipher.CHUNK_BLOCKS
-        data = hashlib.shake_256(b"vpaes chunk edges").digest(16 * blocks)
-        monkeypatch.setattr(cipher, "_SPLIT_BLOCKS", blocks)
-        digests = set()
-        for cpus in (1, 2):
-            monkeypatch.setattr(_host, "available_cpus", lambda: cpus)
-            digests.add(tuple(hashlib.sha256(run(data, self.KEY)).hexdigest()
-                              for run in (encrypt_payload, decrypt_payload)))
-        assert digests == {(
-            "c791a26bee190cbb576c26aca39f067bbf759f7814fe5b446b59ae3796e09f4f",
-            "b3d062f0c4a3dd95cc92d7ca462b6c9df7545cd4825656d800b081126f505d0d",
-        )}
-        assert len(forks) == 2
 
     @pytest.mark.parametrize("run", DIRECTIONS, ids=["encrypt", "decrypt"])
     def test_peak_memory_grows_with_the_payload_only(self, monkeypatch, run):

@@ -5,8 +5,7 @@ import json
 import pytest
 
 import vpaes
-from conftest import make_bmp_bytes, random_image, text_style_image
-from vpaes import _host, cipher
+from conftest import random_image, text_style_image
 from vpaes.cli import main, parse_key_hex
 from vpaes.errors import KeyFormatError
 from vpaes.imageio import load_image, read_container, save_image
@@ -19,59 +18,6 @@ SPACED_KEY = "00112233445566778899aabbccdd  ee"
 def write_ppm(path, img):
     save_image(img, path)
     return str(path)
-
-
-class TestFrozenDigests:
-    """The byte contract through the CLI: the sha256 of the container, the
-    --view file and the decrypted file, the same on one CPU and on two.
-    The colour P6 and the BMP payloads reach _SPLIT_BLOCKS, so with two
-    CPUs half their blocks run in the payload helper; the BMP's split runs
-    into a partial last chunk, and the grey P5 (nonzero pad) stays on one
-    process."""
-
-    CASES = {
-        "p6-512x512": ("in.ppm", lambda path: save_image(
-            random_image(512, 512, 3, seed=20), path)),
-        "bmp-333x500": ("in.bmp", lambda path: path.write_bytes(
-            make_bmp_bytes(random_image(333, 500, 3, seed=21)))),
-        "p5-97x103": ("in.pgm", lambda path: save_image(
-            random_image(97, 103, 1, seed=22), path)),
-    }
-    DIGESTS = {
-        "p6-512x512": (
-            "b92f58d65122ecc33dae3c148a2ef69648b57d62cd6adf4cdff524a0b5719b09",
-            "81267c9aba0be0bada62eedb125b2bb6604a12bb7be4e4863e5625d6a78d614f",
-            "b190fc207e8f09747517fd6d86acf2732bf32f89ab5ecb165a66a3c9f6b5d159"),
-        "bmp-333x500": (
-            "655f94399a818924ff0405f74ebe869f378f1317dd64eb29a448939dafe56632",
-            "072b1bbf939228703a3c463daa56461217ff1faa2d71b2c6b082d4414f1cdd06",
-            "19daed6de9a5a82ab4b775ffdee4c7b78fbb57465baafb7b38bc31c6a6ff505d"),
-        "p5-97x103": (
-            "8079b5e7573a5ed37ad51e6600b73247b3b8a39f9d0f07f0e102aba724a0bdfd",
-            "d3c6048be56aecfd41b2c81b9047ca572381b5f74bfeae4bd5d108c2f5237d38",
-            "0caf67bbd980de1b327c9455cd7e0d4e658a62bb782aacf7817a20af96fd133c"),
-    }
-
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_digests_on_one_cpu_and_two(self, tmp_path, monkeypatch, forks,
-                                        case):
-        name, write = self.CASES[case]
-        src = tmp_path / name
-        write(src)
-        files = [tmp_path / f for f in ("ct.vpaes", "view.ppm", "back.ppm")]
-        enc, view, back = map(str, files)
-        blocks = -(-len(load_image(str(src)).data) // 16)
-        for cpus in (1, 2):
-            for f in files:
-                f.unlink(missing_ok=True)
-            monkeypatch.setattr(_host, "available_cpus", lambda: cpus)
-            assert main(["encrypt", "--in", str(src), "--out", enc,
-                         "--key", KEY, "--view", view]) == 0
-            assert main(["decrypt", "--in", enc, "--out", back,
-                         "--key", KEY]) == 0
-            assert tuple(hashlib.sha256(f.read_bytes()).hexdigest()
-                         for f in files) == self.DIGESTS[case]
-        assert len(forks) == 2 * (blocks >= cipher._SPLIT_BLOCKS)
 
 
 class TestKeyParsing:
