@@ -230,13 +230,17 @@ def cmd_sensitivity(args):
     return 0
 
 
-def _at_least(minimum):
-    """An argparse type: an integer no smaller than `minimum`."""
+def _at_least(minimum, maximum=None):
+    """An argparse type: an integer no smaller than `minimum` and, if one
+    is given, no larger than `maximum`."""
     def integer(text):
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(
                 f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {maximum}, got {value}")
         return value
     return integer
 
@@ -262,7 +266,8 @@ def _build_parser():
                            "hex characters")
         if stats:
             # a correlation needs at least two pixel pairs
-            p.add_argument("--samples", type=_at_least(2),
+            p.add_argument("--samples",
+                           type=_at_least(2, randstat.MAX_SAMPLES),
                            default=randstat.DEFAULT_SAMPLES)
             p.add_argument("--seed", type=_at_least(0), default=0)
         if not output:  # a report, written to --out or to stdout

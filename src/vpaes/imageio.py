@@ -94,7 +94,11 @@ def _atomic_write(path, data):
     """Write via a sibling temp file + rename so readers never see a torn
     file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-vpaes-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-vpaes-")
+    except OSError as exc:  # name the requested file, not the temp file
+        exc.filename = path
+        raise
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)

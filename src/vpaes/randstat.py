@@ -26,6 +26,10 @@ _SQRT2 = math.sqrt(2.0)
 CHI_MEAN = 255.0
 CHI_SIGMA = 22.5831  # sqrt(2*255), kept at the reporting precision
 DEFAULT_SAMPLES = 3000
+# The most pixel pairs a correlation samples, 349 times the paper's 3,000:
+# a sample costs 42 bytes traced, so 2^20 take 42 MiB and about 0.1 s, and
+# a count far above it would only end in a MemoryError or the OOM killer.
+MAX_SAMPLES = 1 << 20
 DIRECTIONS = ("horizontal", "vertical", "diagonal")
 _STEPS = {"horizontal": (0, 1), "vertical": (1, 0), "diagonal": (1, 1)}
 _CHANNEL_INDEX = {"red": 0, "green": 1, "blue": 2, "gray": 0}
@@ -39,10 +43,6 @@ _FFT_BLOCK = 1 << 14  # complex entries per second-stage batch: 256 KiB
 _Z_BATCHES = 16
 _KEEP_BYTES = 1 << 25
 _spare = {}  # bit count -> the blocks of the last call of that length
-# The spectral kernel runs on at most two threads: two is the only count
-# measured, and each part holds about 0.75 MiB of batch temporaries for a
-# 512x512 channel.
-_MAX_PARTS = 2
 # Each part gets at least 2^18 bits: a second thread paid from 2^19 bits on.
 # Medians of 30 alternated calls, one part against two, 2-core x86-64:
 # 5.6 against 6.1 ms at 2^18 bits, 9.0 against 8.4 ms at 3 * 2^17 (even),
@@ -152,8 +152,9 @@ def sample_adjacent_pairs(img, direction, channel, count=DEFAULT_SAMPLES,
     """
     if direction not in _STEPS:
         raise DomainError(f"unknown direction {direction!r}")
-    if count < 1:
-        raise DomainError(f"count must be positive, got {count}")
+    if not 1 <= count <= MAX_SAMPLES:
+        raise DomainError(
+            f"count must be in 1..{MAX_SAMPLES}, got {count}")
     dr, dc = _STEPS[direction]
     plane = _plane(img, channel)
     max_row = img.height - dr
@@ -196,16 +197,16 @@ def entropy(hist):
         raise DomainError("entropy of an empty histogram is undefined")
     counts = hist.bins[hist.bins > 0].astype(np.float64)
     p = counts / total
-    return float(-np.sum(p * np.log2(p)))
+    return float(0.0 - np.sum(p * np.log2(p)))  # +0.0, not -0.0, for one tone
 
 
 def _part_count(n, n1):
-    """How many threads share the spectral kernel for n = n1*n2 bits: one
-    per _PART_BITS, at least one, and no more than _MAX_PARTS or the CPUs
-    this process may run on; one if n1 < _PART_N1."""
-    if n1 < _PART_N1:
-        return 1
-    return max(1, min(_MAX_PARTS, _host.available_cpus(), n // _PART_BITS))
+    """How many threads share the spectral kernel for n = n1*n2 bits: two
+    when each part gets _PART_BITS or more, n1 >= _PART_N1 and this process
+    may run on two CPUs, else one. Two is the only count measured, and each
+    part holds about 0.75 MiB of batch temporaries for a 512x512 channel."""
+    return 2 if (n1 >= _PART_N1 and n >= 2 * _PART_BITS
+                 and _host.available_cpus() > 1) else 1
 
 
 def _low_peaks(bits, threshold):
@@ -395,8 +396,9 @@ def sensitivity_correlation(c1, c2, count=DEFAULT_SAMPLES, seed=0):
         raise DomainError(
             f"container shapes differ: {c1.width}x{c1.height}x{c1.channels} "
             f"vs {c2.width}x{c2.height}x{c2.channels}")
-    if count < 2:
-        raise DomainError(f"count must be at least 2, got {count}")
+    if not 2 <= count <= MAX_SAMPLES:
+        raise DomainError(
+            f"count must be in 2..{MAX_SAMPLES}, got {count}")
     pixels = c1.width * c1.height
     channels = c1.channels
     a = np.frombuffer(c1.payload, dtype=np.uint8)

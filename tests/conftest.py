@@ -1,6 +1,7 @@
 import os
 import struct
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -39,15 +40,19 @@ def fips_key():
     return Key128(FIPS_KEY)
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def forks(monkeypatch):
-    """The os.fork calls made while the test runs; afterwards, no child
-    process may be left."""
+    """The os.fork calls made while the test runs, each after Python 3.12's
+    warning on a fork beside a thread (an error outside _host's one filter);
+    afterwards, no child process may be left."""
     calls = []
     fork = os.fork
 
     def counted():
         calls.append(threading.active_count())
+        warnings.warn(DeprecationWarning(
+            f"This process (pid={os.getpid()}) is multi-threaded, use of "
+            "fork() may lead to deadlocks in the child."), stacklevel=2)
         return fork()
 
     monkeypatch.setattr(os, "fork", counted)

@@ -1,10 +1,12 @@
 import builtins
 import hashlib
 import json
+import math
 
 import pytest
 
 import vpaes
+from vpaes import randstat
 from conftest import random_image, text_style_image
 from vpaes.cli import main, parse_key_hex
 from vpaes.errors import KeyFormatError
@@ -108,7 +110,8 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o"), "--key", SPACED_KEY]) == 2
 
     @pytest.mark.parametrize("command", ["analyze", "sensitivity"])
-    @pytest.mark.parametrize("samples", ["0", "1", "many"])
+    @pytest.mark.parametrize("samples", [
+        "0", "1", "many", str(randstat.MAX_SAMPLES + 1), str(10**12)])
     def test_bad_samples_is_a_usage_error(self, tmp_path, capsys,
                                            command, samples):
         img = random_image(8, 8, 3, seed=7)
@@ -171,6 +174,15 @@ class TestExitCodes:
         assert main(["encrypt", "--in", str(tmp_path / "absent.ppm"),
                      "--out", str(tmp_path / "o"), "--key", KEY]) == 4
 
+    def test_missing_output_directory_is_4(self, tmp_path, capsys):
+        # the error names the requested output, not the temp file beside it
+        img = random_image(4, 4, 3, seed=5)
+        src = write_ppm(tmp_path / "in.ppm", img)
+        assert main(["encrypt", "--in", src, "--key", KEY, "--out",
+                     str(tmp_path / "nodir" / "o.vpaes")]) == 4
+        err = capsys.readouterr().err
+        assert "o.vpaes" in err and ".tmp-vpaes-" not in err
+
     def test_bad_container_is_5(self, tmp_path):
         bogus = tmp_path / "bogus.vpaes"
         bogus.write_bytes(b"NOTAVALIDCONTAINER")
@@ -197,6 +209,7 @@ class TestExitCodes:
         for entry in doc["results"]:
             by_test.setdefault(entry["test"], []).append(entry)
         assert by_test["entropy"][0]["statistic"] == 0.0
+        assert math.copysign(1.0, by_test["entropy"][0]["statistic"]) == 1.0
         assert by_test["chi_square_tone"][0]["decision"] == "rejected"
         assert all("error" in e for e in by_test["correlation_horizontal"])
 

@@ -103,6 +103,15 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_adjacent_pairs(img, "horizontal", "gray", 10)
 
+    def test_count_bounded(self):
+        img = random_image(4, 4, 3, seed=5)
+        sample = sample_adjacent_pairs(img, "diagonal", "red",
+                                       randstat.MAX_SAMPLES)
+        assert len(sample.xs) == randstat.MAX_SAMPLES
+        for count in (0, randstat.MAX_SAMPLES + 1, 10**12):
+            with pytest.raises(DomainError, match="count must be in"):
+                sample_adjacent_pairs(img, "diagonal", "red", count)
+
 
 class TestCorrelation:
     def test_perfect_positive(self):
@@ -154,6 +163,7 @@ class TestEntropy:
         counts = [0] * 256
         counts[77] = 1234
         assert entropy(hist_from_counts(counts)) == 0.0
+        assert math.copysign(1.0, entropy(hist_from_counts(counts))) == 1.0
 
     def test_two_equal_bins_is_one_bit(self):
         counts = [0] * 256
@@ -612,6 +622,13 @@ class TestSensitivity:
         c2 = self.container(8, 9, 3, seed=34)
         with pytest.raises(DomainError):
             sensitivity_correlation(c1, c2)
+
+    def test_count_bounded(self):
+        c = self.container(4, 4, 3, seed=37)
+        assert len(sensitivity_correlation(c, c, randstat.MAX_SAMPLES)) == 3
+        for count in (1, randstat.MAX_SAMPLES + 1, 10**12):
+            with pytest.raises(DomainError, match="count must be in"):
+                sensitivity_correlation(c, c, count)
 
     def test_seed_reproducibility(self):
         c1 = self.container(16, 16, 1, seed=35)
