@@ -20,13 +20,8 @@ from .cipher import (
 )
 from .errors import (
     ContainerError,
-    ContainerHeaderError,
-    ContainerLengthError,
-    ContainerMagicError,
-    ContainerVersionError,
     DomainError,
     ImageFormatError,
-    ImageParseError,
     KeyFormatError,
     PreconditionError,
     VpaesError,
@@ -38,7 +33,6 @@ from .imageio import (
     load_image,
     pad_payload,
     read_container,
-    save_cipher_view,
     save_image,
     unpad_payload,
     write_container,
@@ -63,7 +57,6 @@ from .permgen import (
     permutation_from_coefficients,
 )
 from .randstat import (
-    PairSample,
     TestReport,
     ToneHistogram,
     chi_square_p_value,

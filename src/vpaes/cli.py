@@ -28,15 +28,16 @@ from .imageio import (
     ImageBuffer,
     _atomic_write,
     _read_file,
+    cipher_view,
+    container_bytes,
     decode_image,
+    image_bytes,
     load_image,
     pad_payload,
     parse_container,
     read_container,
-    save_cipher_view,
     save_image,
     unpad_payload,
-    write_container,
 )
 from .keystream import KEY_BYTES, Key128, key_to_integer
 
@@ -96,7 +97,7 @@ def _emit_report(args, digest, results, *fields):
             lines.append(line)
         text = "\n".join(lines) + "\n"
     if args.output:
-        _atomic_write(args.output, text.encode())
+        _atomic_write((args.output, text.encode()))
     else:
         sys.stdout.write(text)
 
@@ -137,9 +138,11 @@ def cmd_encrypt(args):
     elapsed = time.perf_counter() - start
     container = CipherContainer(
         img.width, img.height, img.channels, pad_len, ciphertext)
-    write_container(container, args.output)
+    # both outputs or neither: no container is left without its view
+    outputs = [(args.output, container_bytes(container))]
     if args.view:
-        save_cipher_view(container, args.view)
+        outputs.append((args.view, image_bytes(cipher_view(container))))
+    _atomic_write(*outputs)
     print(f"blocks={len(padded) // BLOCK_BYTES} pad_len={pad_len} "
           f"elapsed={elapsed:.3f}s")
     return 0

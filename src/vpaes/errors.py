@@ -1,51 +1,25 @@
-"""Exception hierarchy. The CLI maps these to distinct exit codes."""
+"""Exception hierarchy: one class per CLI exit code."""
 
 
 class VpaesError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package (exit code 1)."""
 
 
 class DomainError(VpaesError, ValueError):
-    """An argument violates an operation's stated domain."""
+    """An argument violates an operation's stated domain (exit code 1)."""
 
 
 class PreconditionError(DomainError):
-    """A statistical test's input does not meet its quality floor."""
+    """A statistical test's input misses its quality floor (exit code 6)."""
 
 
 class KeyFormatError(VpaesError, ValueError):
-    """Key string does not parse to exactly 16 bytes, or is degenerate."""
+    """The key does not parse to 16 bytes, or is degenerate (exit code 2)."""
 
 
 class ImageFormatError(VpaesError, ValueError):
-    """Unsupported or malformed image file."""
-
-
-class ImageParseError(ImageFormatError):
-    """Image file ends or breaks mid-structure; carries the byte offset."""
-
-    def __init__(self, message, offset=None):
-        if offset is not None:
-            message = f"{message} (at byte offset {offset})"
-        super().__init__(message)
-        self.offset = offset
+    """Unsupported or malformed image file (exit code 3)."""
 
 
 class ContainerError(VpaesError, ValueError):
-    """Base class for ciphertext container problems."""
-
-
-class ContainerMagicError(ContainerError):
-    """File does not start with the container magic."""
-
-
-class ContainerVersionError(ContainerError):
-    """Unknown container format version."""
-
-
-class ContainerHeaderError(ContainerError):
-    """A header field holds an invalid value."""
-
-
-class ContainerLengthError(ContainerError):
-    """Header dimensions and payload length disagree, or file truncated."""
+    """Malformed or inconsistent ciphertext container (exit code 5)."""

@@ -23,15 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContainerHeaderError,
-    ContainerLengthError,
-    ContainerMagicError,
-    ContainerVersionError,
-    DomainError,
-    ImageFormatError,
-    ImageParseError,
-)
+from .errors import ContainerError, DomainError, ImageFormatError
 from .permgen import BLOCK_BYTES
 
 MAGIC = b"VPAES"
@@ -72,42 +64,48 @@ class CipherContainer:
 
     def __post_init__(self):
         if self.channels not in (1, 3):
-            raise ContainerHeaderError(
+            raise ContainerError(
                 f"channels must be 1 or 3, got {self.channels}")
         if not 0 <= self.pad_len < BLOCK_BYTES:
-            raise ContainerHeaderError(
+            raise ContainerError(
                 f"pad_len must be in [0, 16), got {self.pad_len}")
         if self.width < 1 or self.height < 1:
-            raise ContainerHeaderError(
-                f"bad dimensions {self.width}x{self.height}")
+            raise ContainerError(f"bad dimensions {self.width}x{self.height}")
         expected = self.width * self.height * self.channels + self.pad_len
         if len(self.payload) != expected:
-            raise ContainerLengthError(
+            raise ContainerError(
                 f"payload holds {len(self.payload)} bytes, header implies "
                 f"{expected}")
         if len(self.payload) % BLOCK_BYTES:
-            raise ContainerLengthError(
+            raise ContainerError(
                 f"payload length {len(self.payload)} not a multiple of 16")
 
 
-def _atomic_write(path, data):
-    """Write via a sibling temp file + rename so readers never see a torn
-    file."""
-    directory = os.path.dirname(os.path.abspath(path))
+def _atomic_write(*outputs):
+    """Write each (path, data) pair via a sibling temp file + rename, so
+    readers never see a torn file. Every temp file is written before the
+    first rename, and none is left behind: a failed create or write leaves
+    no output, and a failed rename only the outputs renamed before it. An
+    OSError names the requested path it failed on."""
+    temps = []
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-vpaes-")
-    except OSError as exc:  # name the requested file, not the temp file
-        exc.filename = path
-        raise
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for path, data in outputs:
+            fd, tmp = tempfile.mkstemp(
+                dir=os.path.dirname(os.path.abspath(path)),
+                prefix=".tmp-vpaes-")
+            temps.append(tmp)
+            with os.fdopen(fd, "wb") as f:
+                f.write(data)
+        for (path, _), tmp in zip(outputs, temps):
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp in temps:
+            try:
+                os.unlink(tmp)
+            except OSError:  # already renamed into place
+                pass
+        if isinstance(exc, OSError):  # name the output, not its temp file
+            raise type(exc)(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -125,11 +123,12 @@ def _load_pnm(data):
     tokens = (m for m in _PNM_TOKEN.finditer(data, 2) if m[1])
     fields = list(itertools.islice(tokens, 3))
     if len(fields) < 3 or fields[2].end() == len(data):
-        raise ImageParseError("file ends inside header", offset=len(data))
+        raise ImageFormatError(
+            f"file ends inside header (at byte offset {len(data)})")
     try:
         width, height, maxval = (int(m[1]) for m in fields)
     except ValueError:
-        raise ImageParseError(
+        raise ImageFormatError(
             f"non-numeric token in header {[m[1] for m in fields]}") from None
     if width < 1 or height < 1:
         raise ImageFormatError(f"bad PNM dimensions {width}x{height}")
@@ -141,9 +140,9 @@ def _load_pnm(data):
     pos = fields[2].end() + 1  # past the one whitespace byte
     pixels = data[pos:pos + need]
     if len(pixels) < need:
-        raise ImageParseError(
-            f"pixel data truncated: need {need} bytes, have {len(pixels)}",
-            offset=pos + len(pixels))
+        raise ImageFormatError(
+            f"pixel data truncated: need {need} bytes, have {len(pixels)} "
+            f"(at byte offset {pos + len(pixels)})")
     return ImageBuffer(width, height, channels, pixels)
 
 
@@ -156,7 +155,8 @@ _BMP_HEADER = struct.Struct("<10xIIiiHHI")
 
 def _load_bmp(data):
     if len(data) < 54:
-        raise ImageParseError("BMP header truncated", offset=len(data))
+        raise ImageFormatError(
+            f"BMP header truncated (at byte offset {len(data)})")
     (pixel_offset, dib_size, width, height, planes, bitcount,
      compression) = _BMP_HEADER.unpack_from(data)
     if dib_size < 40:
@@ -180,9 +180,9 @@ def _load_bmp(data):
     stride = (3 * width + 3) & ~3
     need = pixel_offset + stride * height
     if len(data) < need:
-        raise ImageParseError(
-            f"BMP pixel data truncated: need {need} bytes, have {len(data)}",
-            offset=len(data))
+        raise ImageFormatError(
+            f"BMP pixel data truncated: need {need} bytes, have {len(data)} "
+            f"(at byte offset {len(data)})")
     rows = np.frombuffer(data, np.uint8, stride * height, pixel_offset)
     # bottom-up rows -> top-down, drop the stride padding, BGR -> RGB
     bgr = rows.reshape(height, stride)[::-1, :3 * width]
@@ -211,11 +211,16 @@ def decode_image(data):
         f"unrecognised image magic {magic!r}; supported: P6, P5, BM")
 
 
-def save_image(img, path):
-    """Write a buffer as binary PPM (3 channels) or PGM (1 channel)."""
+def image_bytes(img):
+    """A buffer as the bytes of a binary PPM (3 channels) or PGM (1)."""
     magic = b"P6" if img.channels == 3 else b"P5"
     header = b"%s\n%d %d\n255\n" % (magic, img.width, img.height)
-    _atomic_write(path, header + img.data)
+    return header + img.data
+
+
+def save_image(img, path):
+    """Write a buffer as binary PPM (3 channels) or PGM (1 channel)."""
+    _atomic_write((path, image_bytes(img)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +239,7 @@ def pad_payload(data):
 
 def unpad_payload(data, pad_len):
     if pad_len < 0 or pad_len > len(data):
-        raise ContainerLengthError(
+        raise ContainerError(
             f"pad_len {pad_len} exceeds payload of {len(data)} bytes")
     return data[:len(data) - pad_len] if pad_len else data
 
@@ -249,20 +254,20 @@ def container_bytes(c):
 
 
 def write_container(c, path):
-    _atomic_write(path, container_bytes(c))
+    _atomic_write((path, container_bytes(c)))
 
 
 def parse_container(data):
     if len(data) < _HEADER.size:
-        raise ContainerLengthError(
+        raise ContainerError(
             f"container truncated: {len(data)} bytes, header needs "
             f"{_HEADER.size}")
     magic, version, width, height, channels, pad_len = _HEADER.unpack_from(
         data)
     if magic != MAGIC:
-        raise ContainerMagicError(f"bad magic {magic!r}")
+        raise ContainerError(f"bad magic {magic!r}")
     if version != VERSION:
-        raise ContainerVersionError(f"unknown container version {version}")
+        raise ContainerError(f"unknown container version {version}")
     # CipherContainer validation covers channels, pad_len range, and the
     # payload-length consistency (truncated or oversized payloads included).
     return CipherContainer(
@@ -288,7 +293,3 @@ def cipher_view(c):
     need = c.width * view_height * 3
     data = c.payload + b"\x00" * (need - len(c.payload))
     return ImageBuffer(c.width, view_height, 3, data)
-
-
-def save_cipher_view(c, path):
-    save_image(cipher_view(c), path)

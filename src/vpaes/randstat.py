@@ -71,21 +71,6 @@ def erfc(z):
 
 
 @dataclass(frozen=True, eq=False)
-class PairSample:
-    """Byte values of adjacent pixel pairs in one direction and channel."""
-
-    direction: str
-    channel: str
-    xs: np.ndarray
-    ys: np.ndarray
-    seed: int
-
-    @property
-    def count(self):
-        return len(self.xs)
-
-
-@dataclass(frozen=True, eq=False)
 class ToneHistogram:
     """256-bin count of one channel's byte values."""
 
@@ -144,7 +129,8 @@ def channel_bits(img, channel):
 
 def sample_adjacent_pairs(img, direction, channel, count=DEFAULT_SAMPLES,
                           seed=0):
-    """Seeded uniform sample of `count` adjacent pixel pairs.
+    """Seeded uniform sample of `count` adjacent pixel pairs, as the
+    arrays (xs, ys) of their byte values.
 
     Base positions are drawn so the neighbour (one step right, down, or
     down-right) always exists; diagonal sampling therefore never starts in
@@ -165,11 +151,12 @@ def sample_adjacent_pairs(img, direction, channel, count=DEFAULT_SAMPLES,
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, max_row, size=count)
     cols = rng.integers(0, max_col, size=count)
-    return PairSample(direction, channel, plane[rows, cols],
-                      plane[rows + dr, cols + dc], seed)
+    return plane[rows, cols], plane[rows + dr, cols + dc]
 
 
-def _pearson(xs, ys):
+def correlation(pairs):
+    """Sample Pearson correlation of the pairs (xs, ys), 1/M normalised."""
+    xs, ys = pairs
     if len(xs) < 2:
         raise DomainError("correlation needs at least 2 pairs")
     x = xs.astype(np.float64)
@@ -183,11 +170,6 @@ def _pearson(xs, ys):
             "correlation undefined: a coordinate has zero variance")
     r = float(np.mean(dx * dy)) / math.sqrt(var_x * var_y)
     return max(-1.0, min(1.0, r))
-
-
-def correlation(sample):
-    """Sample Pearson correlation of the pair values (1/M normalisation)."""
-    return _pearson(sample.xs, sample.ys)
 
 
 def entropy(hist):
@@ -408,5 +390,5 @@ def sensitivity_correlation(c1, c2, count=DEFAULT_SAMPLES, seed=0):
     out = {}
     for idx, ch in enumerate(channel_names(channels)):
         flat = positions * channels + idx
-        out[ch] = _pearson(a[flat], b[flat])
+        out[ch] = correlation((a[flat], b[flat]))
     return out

@@ -183,6 +183,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "o.vpaes" in err and ".tmp-vpaes-" not in err
 
+    def test_output_that_is_a_directory_is_4(self, tmp_path, capsys):
+        # the rename fails, not the create: the error still names --out,
+        # and the temp file beside it is gone
+        src = write_ppm(tmp_path / "in.ppm", random_image(4, 4, 3, seed=5))
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert main(["encrypt", "--in", src, "--key", KEY,
+                     "--out", str(out)]) == 4
+        assert capsys.readouterr().err.endswith(
+            f"Is a directory: '{out}'\n")
+        assert not list(tmp_path.glob(".tmp-vpaes-*"))
+        assert not list(out.iterdir())
+
+    def test_unwritable_view_leaves_no_container(self, tmp_path, capsys):
+        # encrypt writes both of its outputs or neither
+        src = write_ppm(tmp_path / "in.ppm", random_image(4, 4, 3, seed=5))
+        out = tmp_path / "ok.vpaes"
+        view = tmp_path / "missing" / "v.ppm"
+        assert main(["encrypt", "--in", src, "--key", KEY, "--out", str(out),
+                     "--view", str(view)]) == 4
+        assert capsys.readouterr().err.endswith(
+            f"No such file or directory: '{view}'\n")
+        assert not out.exists()
+        assert not list(tmp_path.glob(".tmp-vpaes-*"))
+
     def test_bad_container_is_5(self, tmp_path):
         bogus = tmp_path / "bogus.vpaes"
         bogus.write_bytes(b"NOTAVALIDCONTAINER")

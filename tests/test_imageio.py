@@ -1,3 +1,5 @@
+import errno
+import os
 import random
 import struct
 import tracemalloc
@@ -5,18 +7,11 @@ import tracemalloc
 import pytest
 
 from conftest import make_bmp_bytes, random_image
-from vpaes.errors import (
-    ContainerHeaderError,
-    ContainerLengthError,
-    ContainerMagicError,
-    ContainerVersionError,
-    ImageFormatError,
-    ImageParseError,
-    VpaesError,
-)
+from vpaes.errors import ContainerError, ImageFormatError
 from vpaes.imageio import (
     CipherContainer,
     ImageBuffer,
+    _atomic_write,
     cipher_view,
     container_bytes,
     load_image,
@@ -105,14 +100,16 @@ class TestPnmLoad:
         path = tmp_path / "t.ppm"
         header = b"P6\n2 2\n255\n"
         path.write_bytes(header + bytes(5))  # need 12 pixel bytes
-        with pytest.raises(ImageParseError) as err:
+        offset = len(header) + 5  # where the file ended
+        with pytest.raises(ImageFormatError, match=rf"need 12 bytes, have 5 "
+                           rf"\(at byte offset {offset}\)$"):
             load_image(path)
-        assert err.value.offset == len(header) + 5  # where the file ended
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "h.ppm"
         path.write_bytes(b"P6\n2")
-        with pytest.raises(ImageParseError):
+        with pytest.raises(ImageFormatError, match=r"file ends inside header "
+                                                   r"\(at byte offset 4\)"):
             load_image(path)
 
     def test_ascii_pnm_rejected(self, tmp_path):
@@ -124,7 +121,7 @@ class TestPnmLoad:
     def test_nonnumeric_header_token(self, tmp_path):
         path = tmp_path / "n.ppm"
         path.write_bytes(b"P6\nwide 1\n255\n" + bytes(3))
-        with pytest.raises(ImageParseError):
+        with pytest.raises(ImageFormatError, match="non-numeric token"):
             load_image(path)
 
 
@@ -194,7 +191,8 @@ class TestBmpLoad:
         img = random_image(4, 4, 3, seed=6)
         path = tmp_path / "tr.bmp"
         path.write_bytes(make_bmp_bytes(img)[:-5])
-        with pytest.raises(ImageParseError):
+        with pytest.raises(ImageFormatError,
+                           match="BMP pixel data truncated"):
             load_image(path)
 
 
@@ -232,7 +230,7 @@ class TestPadding:
         assert unpad_payload(b"", 0) == b""
 
     def test_unpad_rejects_oversized_pad(self):
-        with pytest.raises(ContainerLengthError):
+        with pytest.raises(ContainerError, match="pad_len 5 exceeds"):
             unpad_payload(bytes(4), 5)
 
 
@@ -267,39 +265,69 @@ class TestContainer:
     def test_bad_magic(self):
         raw = bytearray(container_bytes(make_container()))
         raw[0] = ord("W")
-        with pytest.raises(ContainerMagicError):
+        with pytest.raises(ContainerError, match="bad magic"):
             parse_container(bytes(raw))
 
     def test_unknown_version(self):
         raw = bytearray(container_bytes(make_container()))
         raw[5] = 2
-        with pytest.raises(ContainerVersionError):
+        with pytest.raises(ContainerError,
+                           match="unknown container version 2"):
             parse_container(bytes(raw))
 
     def test_truncated_payload(self):
         raw = container_bytes(make_container())
-        with pytest.raises(ContainerLengthError):
+        with pytest.raises(ContainerError, match="header implies"):
             parse_container(raw[:-3])
 
     def test_truncated_header(self):
-        with pytest.raises(ContainerLengthError):
+        with pytest.raises(ContainerError, match="container truncated"):
             parse_container(b"VPAES\x01\x00")
 
     def test_bad_channels(self):
         raw = bytearray(container_bytes(make_container()))
         raw[14] = 2
-        with pytest.raises(ContainerHeaderError):
+        with pytest.raises(ContainerError, match="channels must be 1 or 3"):
             parse_container(bytes(raw))
 
     def test_oversized_pad_len(self):
         raw = bytearray(container_bytes(make_container()))
         raw[15:17] = (16).to_bytes(2, "big")
-        with pytest.raises(ContainerHeaderError):
+        with pytest.raises(ContainerError, match="pad_len must be in"):
             parse_container(bytes(raw))
 
     def test_unaligned_payload_rejected(self):
-        with pytest.raises(ContainerLengthError):
+        with pytest.raises(ContainerError, match="not a multiple of 16"):
             CipherContainer(1, 1, 3, 5, bytes(8))
+
+
+class TestAtomicWrite:
+    def test_outputs_written_together(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        _atomic_write((a, b"first"), (b, b"second"))
+        assert (a.read_bytes(), b.read_bytes()) == (b"first", b"second")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
+    def test_failed_write_leaves_no_output(self, tmp_path, monkeypatch):
+        # the second output's write fails after the first is written to its
+        # temp file: neither appears, and the error names the second
+        fdopen = os.fdopen
+        opened = []
+
+        def disk_full_on_second(fd, mode):
+            opened.append(fd)
+            if len(opened) < 2:
+                return fdopen(fd, mode)
+            os.close(fd)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "fdopen", disk_full_on_second)
+        a, b = tmp_path / "a", tmp_path / "b"
+        with pytest.raises(OSError) as err:
+            _atomic_write((a, b"first"), (b, b"second"))
+        assert str(err.value) == f"[Errno {errno.ENOSPC}] " \
+            f"{os.strerror(errno.ENOSPC)}: {b!r}"
+        assert not list(tmp_path.iterdir())
 
 
 class TestCipherView:
@@ -336,7 +364,9 @@ class TestImageBufferType:
 
 class TestParserFuzz:
     """Seeded byte flips and truncations of valid files: whatever the
-    damage, the parsers either decode or raise a VpaesError."""
+    damage, the parsers either decode or raise the one error class of
+    their format, so the CLI exits 3 for an image and 5 for a container
+    (a DomainError, say, would exit 1)."""
 
     CASES = 700  # per seed file
 
@@ -375,7 +405,7 @@ class TestParserFuzz:
             path.write_bytes(data)
             try:
                 load_image(path)
-            except VpaesError:
+            except ImageFormatError:
                 pass
             except Exception as exc:
                 pytest.fail(f"{kind} {what}: {exc!r} escaped load_image")
@@ -386,7 +416,7 @@ class TestParserFuzz:
         for what, data in self.mutants(valid, channels):
             try:
                 parse_container(data)
-            except VpaesError:
+            except ContainerError:
                 pass
             except Exception as exc:
                 pytest.fail(f"container {what}: {exc!r} escaped")
