@@ -11,7 +11,6 @@ test, chi-square tone test, key-sensitivity correlation).
 """
 
 from .cipher import (
-    RoundKeys,
     decrypt_block,
     decrypt_payload,
     encrypt_block,
@@ -57,8 +56,6 @@ from .permgen import (
     permutation_from_coefficients,
 )
 from .randstat import (
-    TestReport,
-    ToneHistogram,
     chi_square_p_value,
     chi_square_tone_test,
     correlation,

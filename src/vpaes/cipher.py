@@ -26,7 +26,6 @@ From _SPLIT_BLOCKS blocks on, a payload may run on two cores (see _host).
 """
 
 import mmap
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -68,21 +67,9 @@ INV_SHIFT_IDX = tuple(
 RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
 
-@dataclass(frozen=True)
-class RoundKeys:
-    """The 11 expanded 16-byte round keys; keys[0] is the cipher key."""
-
-    keys: tuple
-
-    def __post_init__(self):
-        if len(self.keys) != ROUNDS + 1:
-            raise DomainError(f"expected {ROUNDS + 1} round keys")
-        if any(len(k) != BLOCK_BYTES for k in self.keys):
-            raise DomainError("each round key must hold 16 bytes")
-
-
 def expand_key(key):
-    """Standard AES-128 key expansion: 44 words, 11 round keys."""
+    """Standard AES-128 key expansion: 44 words, a tuple of 11 16-byte round
+    keys, the first of them the cipher key."""
     words = [list(key.data[4 * i:4 * i + 4]) for i in range(4)]
     for i in range(4, 44):
         t = list(words[i - 1])
@@ -91,9 +78,9 @@ def expand_key(key):
             t = [SBOX[b] for b in t]
             t[0] ^= RCON[i // 4 - 1]
         words.append([a ^ b for a, b in zip(words[i - 4], t)])
-    return RoundKeys(tuple(
+    return tuple(
         bytes(words[4 * r] + words[4 * r + 1] + words[4 * r + 2]
-              + words[4 * r + 3]) for r in range(ROUNDS + 1)))
+              + words[4 * r + 3]) for r in range(ROUNDS + 1))
 
 
 def _xor16(a, b):
@@ -123,34 +110,32 @@ def encrypt_block(block, perm, round_keys):
     """One 16-byte block under one 128-position permutation."""
     if len(block) != BLOCK_BYTES:
         raise DomainError(f"block must hold 16 bytes, got {len(block)}")
-    rks = round_keys.keys
-    s = _xor16(block, rks[0])
+    s = _xor16(block, round_keys[0])
     s = apply_to_bits(perm, s)
     for rnd in range(1, ROUNDS):
         s = s.translate(SBOX)
         s = bytes(s[i] for i in SHIFT_IDX)
         s = _mix_columns(s)
-        s = _xor16(s, rks[rnd])
+        s = _xor16(s, round_keys[rnd])
     s = s.translate(SBOX)
     s = bytes(s[i] for i in SHIFT_IDX)
-    return _xor16(s, rks[ROUNDS])
+    return _xor16(s, round_keys[ROUNDS])
 
 
 def decrypt_block(block, perm, round_keys):
     """Exact inverse of encrypt_block for the same permutation."""
     if len(block) != BLOCK_BYTES:
         raise DomainError(f"block must hold 16 bytes, got {len(block)}")
-    rks = round_keys.keys
-    s = _xor16(block, rks[ROUNDS])
+    s = _xor16(block, round_keys[ROUNDS])
     for rnd in range(ROUNDS - 1, 0, -1):
         s = bytes(s[i] for i in INV_SHIFT_IDX)
         s = s.translate(INV_SBOX)
-        s = _xor16(s, rks[rnd])
+        s = _xor16(s, round_keys[rnd])
         s = _inv_mix_columns(s)
     s = bytes(s[i] for i in INV_SHIFT_IDX)
     s = s.translate(INV_SBOX)
     s = apply_to_bits(invert(perm), s)
-    return _xor16(s, rks[0])
+    return _xor16(s, round_keys[0])
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +323,7 @@ def _run_blocks(data, key, stream, inverse=False):
         return b""
     windows = window(stream, 0, blocks)  # before any chunk runs or forks
     state = np.frombuffer(data, dtype=np.uint8).reshape(blocks, BLOCK_BYTES)
-    keys = expand_key(key).keys
+    keys = expand_key(key)
     if inverse:
         keys = (keys[ROUNDS], *map(_inv_mix_columns, keys[9:0:-1]), keys[0])
     keys = np.frombuffer(b"".join(keys), np.uint8).reshape(-1, BLOCK_BYTES, 1)

@@ -102,16 +102,6 @@ def _emit_report(args, digest, results, *fields):
         sys.stdout.write(text)
 
 
-def _entry(report):
-    out = {"test": report.test, "channel": report.channel,
-           "statistic": report.statistic}
-    if report.p_value is not None:
-        out.update(p_value=report.p_value, alpha=report.alpha,
-                   decision=report.decision)
-    out.update(report.extras)
-    return out
-
-
 def _load_input(path, decode):
     """decode(the input's bytes) and the sha256 of those bytes, from one
     read: the report's digest names the bytes that were analysed."""
@@ -166,26 +156,26 @@ def _analysis_results(img, args):
     hist = {ch: r.tone_histogram(img, ch) for ch in channels}
 
     def correlation(direction, ch):
-        return r.TestReport(f"correlation_{direction}", ch, r.correlation(
-            r.sample_adjacent_pairs(img, direction, ch, args.samples,
-                                    args.seed)))
+        return {"statistic": r.correlation(r.sample_adjacent_pairs(
+            img, direction, ch, args.samples, args.seed))}
 
-    battery = [("entropy", lambda ch: r.TestReport(
-        "entropy", ch, r.entropy(hist[ch])))]
+    # each gives its entry's fields; the two hypothesis tests give all of
+    # them, with the same test and channel
+    battery = [("entropy", lambda ch: {"statistic": r.entropy(hist[ch])})]
     battery += [(f"correlation_{d}", functools.partial(correlation, d))
                 for d in r.DIRECTIONS]
     battery += [("spectral_dft", lambda ch: r.spectral_dft_test(
                     r.channel_bits(img, ch), args.alpha, ch)),
                 ("chi_square_tone", lambda ch: r.chi_square_tone_test(
-                    hist[ch], args.alpha))]
+                    hist[ch], args.alpha, ch))]
     results = []
     for name, test in battery:
         for ch in channels:
             try:
-                results.append(_entry(test(ch)))
+                entry = test(ch)
             except VpaesError as exc:
-                results.append({"test": name, "channel": ch,
-                                "error": str(exc)})
+                entry = {"error": str(exc)}
+            results.append({"test": name, "channel": ch, **entry})
     return results
 
 

@@ -13,6 +13,7 @@ pad_len travels in the header so decryption strips padding exactly instead
 of guessing.
 """
 
+import errno
 import itertools
 import math
 import os
@@ -83,10 +84,12 @@ class CipherContainer:
 
 def _atomic_write(*outputs):
     """Write each (path, data) pair via a sibling temp file + rename, so
-    readers never see a torn file. Every temp file is written before the
-    first rename, and none is left behind: a failed create or write leaves
-    no output, and a failed rename only the outputs renamed before it. An
-    OSError names the requested path it failed on."""
+    readers never see a torn file. Every temp file is written, and no
+    target may be a directory, before the first rename; no temp file is
+    left behind. So a failed create or write, or a target that is a
+    directory, leaves no output. One gap remains: a rename that fails for
+    another reason leaves the outputs renamed before it. An OSError names
+    the requested path it failed on."""
     temps = []
     try:
         for path, data in outputs:
@@ -96,6 +99,10 @@ def _atomic_write(*outputs):
             temps.append(tmp)
             with os.fdopen(fd, "wb") as f:
                 f.write(data)
+        for path, _ in outputs:
+            if os.path.isdir(path):
+                raise IsADirectoryError(
+                    errno.EISDIR, os.strerror(errno.EISDIR), path)
         for (path, _), tmp in zip(outputs, temps):
             os.replace(tmp, path)
     except BaseException as exc:

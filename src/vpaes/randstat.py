@@ -14,7 +14,6 @@ Samplers are seeded, so every reported number is reproducible from
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,38 +69,24 @@ def erfc(z):
     return math.erfc(z)
 
 
-@dataclass(frozen=True, eq=False)
-class ToneHistogram:
-    """256-bin count of one channel's byte values."""
-
-    channel: str
-    bins: np.ndarray
-
-    def __post_init__(self):
-        if self.bins.shape != (256,):
-            raise DomainError(f"need 256 bins, got shape {self.bins.shape}")
-
-    @property
-    def total(self):
-        return int(self.bins.sum())
+def _tested(test, channel, statistic, p_value, alpha, **extras):
+    """The report entry of a hypothesis test: "accepted" if p >= alpha,
+    else "rejected"."""
+    return {"test": test, "channel": channel, "statistic": statistic,
+            "p_value": p_value, "alpha": alpha,
+            "decision": "accepted" if p_value >= alpha else "rejected",
+            **extras}
 
 
-@dataclass(frozen=True)
-class TestReport:
-    test: str
-    channel: str
-    statistic: float
-    p_value: float = None
-    alpha: float = None
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def decision(self):
-        """Follows p and alpha: "accepted" if p >= alpha, "rejected" if
-        p < alpha, None for a report without a test."""
-        if self.p_value is None or self.alpha is None:
-            return None
-        return "accepted" if self.p_value >= self.alpha else "rejected"
+def _total(bins):
+    """The count of a tone histogram, which must hold 256 counts and not
+    be empty."""
+    if np.shape(bins) != (256,):
+        raise DomainError(f"need 256 bins, got shape {np.shape(bins)}")
+    total = int(bins.sum())
+    if total <= 0:
+        raise DomainError("an empty histogram has no entropy or chi-square")
+    return total
 
 
 def _plane(img, channel):
@@ -117,9 +102,8 @@ def _plane(img, channel):
 
 
 def tone_histogram(img, channel):
-    plane = _plane(img, channel)
-    bins = np.bincount(plane.ravel(), minlength=256)
-    return ToneHistogram(channel, bins)
+    """The channel's 256 tone counts."""
+    return np.bincount(_plane(img, channel).ravel(), minlength=256)
 
 
 def channel_bits(img, channel):
@@ -172,13 +156,10 @@ def correlation(pairs):
     return max(-1.0, min(1.0, r))
 
 
-def entropy(hist):
+def entropy(bins):
     """Shannon entropy of the tone distribution, in [0, 8] bits."""
-    total = hist.total
-    if total <= 0:
-        raise DomainError("entropy of an empty histogram is undefined")
-    counts = hist.bins[hist.bins > 0].astype(np.float64)
-    p = counts / total
+    total = _total(bins)
+    p = bins[bins > 0].astype(np.float64) / total
     return float(0.0 - np.sum(p * np.log2(p)))  # +0.0, not -0.0, for one tone
 
 
@@ -294,18 +275,14 @@ def spectral_dft_test(bits, alpha=0.01, channel=""):
     n0 = 0.95 * n / 2.0
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     p_value = erfc(abs(d) / _SQRT2)
-    return TestReport(
-        "spectral_dft", channel, d, p_value, alpha,
-        {"n": n, "n0": n0, "n1": n1, "peak_threshold": threshold})
+    return _tested("spectral_dft", channel, d, p_value, alpha,
+                   n=n, n0=n0, n1=n1, peak_threshold=threshold)
 
 
-def chi_square_statistic(hist):
+def chi_square_statistic(bins):
     """Tone-histogram deviation from uniform: sum (o_i - e_i)^2 / e_i."""
-    total = hist.total
-    if total <= 0:
-        raise DomainError("chi-square of an empty histogram is undefined")
-    e = total / 256.0
-    o = hist.bins.astype(np.float64)
+    e = _total(bins) / 256.0
+    o = bins.astype(np.float64)
     return float(np.sum((o - e) ** 2) / e)
 
 
@@ -337,21 +314,21 @@ def chi_square_exact_tail(chi2):
         for j in range(127)))
 
 
-def chi_square_tone_test(hist, alpha=0.01):
+def chi_square_tone_test(bins, alpha=0.01, channel=""):
     """Goodness-of-fit of the tone histogram against uniformity.
 
     P-value comes from the normal approximation (chi_square_p_value); the
     exact chi-square-distribution tail is reported alongside, clearly
     labelled, for reference.
     """
-    if hist.total < 2560:
+    total = int(bins.sum())
+    if total < 2560:
         raise PreconditionError(
             f"chi-square tone test needs >= 2560 samples (10 per bin), "
-            f"got {hist.total}")
-    chi2 = chi_square_statistic(hist)
-    return TestReport(
-        "chi_square_tone", hist.channel, chi2, chi_square_p_value(chi2),
-        alpha, {"p_value_exact_chi2": chi_square_exact_tail(chi2)})
+            f"got {total}")
+    chi2 = chi_square_statistic(bins)
+    return _tested("chi_square_tone", channel, chi2, chi_square_p_value(chi2),
+                   alpha, p_value_exact_chi2=chi_square_exact_tail(chi2))
 
 
 def plaintext_selection_score(img):

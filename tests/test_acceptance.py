@@ -188,10 +188,10 @@ def test_criterion_06_statistical_quality():
     corr_ok = all(abs(r) <= 0.05 for r in correlations.values())
 
     spectral_accepted = sum(
-        spectral_dft_test(channel_bits(cipher_img, ch), 0.01, ch).decision
+        spectral_dft_test(channel_bits(cipher_img, ch), 0.01, ch)["decision"]
         == "accepted" for ch in channels)
     chi_accepted = sum(
-        chi_square_tone_test(tone_histogram(cipher_img, ch), 0.01).decision
+        chi_square_tone_test(tone_histogram(cipher_img, ch), 0.01)["decision"]
         == "accepted" for ch in channels)
 
     elapsed = time.perf_counter() - start

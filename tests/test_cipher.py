@@ -70,17 +70,17 @@ def random_perm(rng):
 class TestExpandKey:
     def test_round_key_0_is_cipher_key(self):
         rk = expand_key(Key128(FIPS_KEY))
-        assert rk.keys[0] == FIPS_KEY
+        assert rk[0] == FIPS_KEY
 
     def test_published_walkthrough_last_round_key(self):
         rk = expand_key(Key128(FIPS_KEY))
-        assert rk.keys[10] == bytes.fromhex(
+        assert rk[10] == bytes.fromhex(
             "d014f9a8c9ee2589e13f0cc8b6630ca6")
 
     def test_zero_key(self):
         rk = expand_key(Key128(bytes(16)))
-        assert rk.keys[0] == bytes(16)
-        assert len(rk.keys) == 11
+        assert rk[0] == bytes(16)
+        assert len(rk) == 11
 
     def test_deterministic(self):
         k = Key128(bytes(range(16)))
@@ -313,7 +313,7 @@ class TestRowKernels:
         # before the last one's; the pad columns up to whole uint64 words
         # hold random bytes too, which must not reach the blocks
         stream = STREAMS[source](required_byte_count(start + blocks))
-        keys = self.KEYS.keys
+        keys = self.KEYS
         rows = np.random.default_rng(seed).integers(
             0, 256, (16, -(-blocks // 8) * 8), np.uint8)
         if inverse:
@@ -394,7 +394,7 @@ class TestPayload:
         key = bytes(rng.randrange(256) for _ in range(16))
         data = bytes(rng.randrange(256) for _ in range(16 * 120))
         stream = FractionStream(bytes(required_byte_count(120)))
-        rk0 = expand_key(Key128(key)).keys[0]
+        rk0 = expand_key(Key128(key))[0]
         blocks = [data[16 * j:16 * j + 16] for j in range(120)]
 
         def whiten(b):

@@ -184,8 +184,8 @@ class TestExitCodes:
         assert "o.vpaes" in err and ".tmp-vpaes-" not in err
 
     def test_output_that_is_a_directory_is_4(self, tmp_path, capsys):
-        # the rename fails, not the create: the error still names --out,
-        # and the temp file beside it is gone
+        # the target check fails, not the create: the error still names
+        # --out, and the temp file beside it is gone
         src = write_ppm(tmp_path / "in.ppm", random_image(4, 4, 3, seed=5))
         out = tmp_path / "taken"
         out.mkdir()
@@ -205,6 +205,20 @@ class TestExitCodes:
                      "--view", str(view)]) == 4
         assert capsys.readouterr().err.endswith(
             f"No such file or directory: '{view}'\n")
+        assert not out.exists()
+        assert not list(tmp_path.glob(".tmp-vpaes-*"))
+
+    def test_view_that_is_a_directory_leaves_no_container(self, tmp_path,
+                                                           capsys):
+        # every target is checked before the first rename
+        src = write_ppm(tmp_path / "in.ppm", random_image(4, 4, 3, seed=5))
+        out = tmp_path / "ok.vpaes"
+        view = tmp_path / "views"
+        view.mkdir()
+        assert main(["encrypt", "--in", src, "--key", KEY, "--out", str(out),
+                     "--view", str(view)]) == 4
+        assert capsys.readouterr().err.endswith(
+            f"Is a directory: '{view}'\n")
         assert not out.exists()
         assert not list(tmp_path.glob(".tmp-vpaes-*"))
 
