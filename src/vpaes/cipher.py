@@ -4,34 +4,29 @@ whitening XOR.
 Encryption of one block: state = block XOR roundkey0, permute the 128 state
 bits with the block's own permutation, then the ten standard rounds.
 Decryption unwinds the rounds, un-permutes, and strips the whitening key.
+Payloads are independent 16-byte blocks (a tweaked codebook: the
+permutation is the tweak, derived from the block index via the sliding
+keystream window). ``encrypt_block``/``decrypt_block`` are the scalar
+reference, which the payload path is tested against byte for byte.
 
-Payloads are processed as independent 16-byte blocks (a tweaked-codebook
-arrangement: the permutation is the tweak, derived from the block index via
-the sliding keystream window). ``encrypt_block``/``decrypt_block`` are the
-scalar reference; payload functions run a numpy path over chunks of
-CHUNK_BLOCKS blocks held as byte rows (row k holds byte k of every block).
-The permutation unpacks them into bit rows and runs the Durstenfeld
-selection pass in place: its swaps never look at the values they move, so
-this applies every block's permutation with no matrix, and the same swaps
-in reverse order undo it. In the rounds ShiftRows and the MixColumns
-rotations are row moves, xtime is SWAR on uint64 words (eight byte lanes
-each), and SubBytes looks up byte pairs in a 65,536-entry table. One round
-loop and one MixColumns serve both directions: InvMixColumns is MixColumns
-after a (5,0,4,0) pre-pass (Daemen & Rijmen, The Design of Rijndael,
-4.1.3). Both directions are tested byte-for-byte against the scalar
-composition and, with one permutation for every block, against AES-128-ECB
-around it.
-
-From _SPLIT_BLOCKS blocks on, a payload may run on two cores (see _host).
+The payload path runs the rounds in libcrypto, bound with ctypes through
+CPython's _hashlib: rounds 1..10 of block x are AES-128-ECB of
+P(x XOR k0) XOR k0, since ECB adds k0 first and the two XORs cancel. The
+permutation runs on chunks of CHUNK_BLOCKS blocks unpacked into bit rows,
+as the Durstenfeld selection pass in place: its swaps never look at the
+values they move, so this applies every block's permutation with no
+matrix, and the same swaps in reverse order undo it. From _SPLIT_BLOCKS
+blocks on, a payload may run on two cores (see _host).
 """
 
+import ctypes
 import mmap
 from functools import lru_cache
 
 import numpy as np
 
 from . import _host
-from .errors import DomainError
+from .errors import DomainError, VpaesError
 from .keystream import (
     key_to_integer, pi_fraction_bytes, required_byte_count, window)
 from .permgen import (
@@ -139,17 +134,9 @@ def decrypt_block(block, perm, round_keys):
 
 
 # ---------------------------------------------------------------------------
-# Vectorised payload path: one numpy array op per cipher step, every block of
-# a chunk at once.
+# Payload path: numpy array ops on every block of a chunk at once, and
+# libcrypto's AES-128-ECB for the rounds.
 
-# SubBytes on byte pairs: entry a + 256·b is S[a] + 256·S[b], stored
-# little-endian so a '<u2' view of byte rows looks up two bytes at once (no
-# copy on little-endian hosts: freeing one raised peak RSS by about 0.5 MiB).
-_PAIR_SBOX, _PAIR_INV_SBOX = (
-    (s[:, None] << 8 | s).astype("<u2", copy=False).reshape(-1)
-    for s in (np.array(list(box), np.uint16) for box in (SBOX, INV_SBOX)))
-# _ROTATE[k][i]: the byte k rows further down byte i's column, cyclically.
-_ROTATE = {k: [i - i % 4 + (i + k) % 4 for i in range(16)] for k in (1, 2)}
 # Blocks per pass of the payload loop: a chunk's working set (about 1 MiB
 # at 4,096 blocks) stays near cache size. In a sweep of 2,048 to 16,384
 # with padded bit rows, 8,192 saved about 5% but doubled the working set.
@@ -157,9 +144,10 @@ CHUNK_BLOCKS = 4096
 # Payloads of at least this many blocks are split between the caller and one
 # forked helper process (_host). The helper costs about 8 ms: fork, its late
 # start and copy-on-write faults, and its exit. Two processes against one,
-# medians of 61 alternated encrypts in a process holding 40 MiB, 2-core
-# x86-64: 0.96-1.03 at 8,192 blocks, 0.93-1.00 at 12,288, 0.87-0.90 at
-# 16,384, 0.74-0.75 at 24,576 and 0.64-0.67 at 49,152 (512x512 colour).
+# encrypt and decrypt, medians of 61 alternated calls in a process holding
+# 40 MiB, three runs, 2-core x86-64: 1.10-1.21 at 8,192 blocks, 0.95-1.04
+# at 12,288, 0.85-1.03 at 16,384, 0.74-0.91 at 24,576 and 0.63-0.67 at
+# 49,152 (512x512 colour).
 _SPLIT_BLOCKS = 16384
 # Bytes added to every bit row: a row stride that is a multiple of 4,096
 # bytes maps column j of every row to one cache set, which doubled the cost
@@ -256,49 +244,54 @@ def derive_permutation_matrix(stream, blocks, start=0):
     return rows[::-1, :blocks].T
 
 
-def _xtime(rows):
-    """Multiplication by x (that is, by 2) in GF(2^8) on byte rows, as SWAR
-    on their uint64 view: eight byte lanes per word, no carry across lanes."""
-    words = rows.view(np.uint64)
-    high = words & np.uint64(0x8080808080808080)
-    out = (words ^ high) << np.uint64(1)
-    out ^= (high >> np.uint64(7)) * np.uint64(0x1B)
-    return out.view(np.uint8)
+def _bind_libcrypto():
+    """libcrypto's EVP cipher calls, found through the libraries CPython's
+    _hashlib links (no library search), or None where they are missing."""
+    ptr, c_int = ctypes.c_void_p, ctypes.c_int
+    try:
+        import _hashlib
+        lib = ctypes.CDLL(_hashlib.__file__)
+        for name, restype, argtypes in (
+                ("EVP_CIPHER_CTX_new", ptr, ()),
+                ("EVP_aes_128_ecb", ptr, ()),
+                ("EVP_CipherInit_ex", c_int,
+                 (ptr, ptr, ptr, ctypes.c_char_p, ptr, c_int)),
+                ("EVP_CIPHER_CTX_set_padding", c_int, (ptr, c_int)),
+                ("EVP_CipherUpdate", c_int,
+                 (ptr, ptr, ctypes.POINTER(c_int), ptr, c_int)),
+                ("EVP_CIPHER_CTX_free", None, (ptr,))):
+            function = getattr(lib, name)
+            function.restype, function.argtypes = restype, argtypes
+    except (ImportError, OSError, AttributeError):
+        return None
+    return lib
 
 
-def _mix(rows):
-    """MixColumns of byte rows. Output byte r of a column is
-    xtime(p_r) ^ a_r+1 ^ p_r+2, where p_r = a_r ^ a_r+1."""
-    down = rows.take(_ROTATE[1], axis=0)
-    pair = rows ^ down
-    return _xtime(pair) ^ down ^ pair.take(_ROTATE[2], axis=0)
+_LIBCRYPTO = _bind_libcrypto()
 
 
-def _inv_mix(rows):
-    """InvMixColumns: MixColumns after the pre-pass a_r ^= 4·(a_r ^ a_r+2)."""
-    return _mix(rows ^ _xtime(_xtime(rows ^ rows.take(_ROTATE[2], axis=0))))
-
-
-def _rounds(rows, keys, sbox, shift, mix):
-    """AES rounds 1..10 in one direction on byte rows: a full round (Sub,
-    Shift, Mix, AddKey) per (16, 1) key column in `keys`, then Sub and
-    Shift. ShiftRows and the rotations in `mix` are row moves."""
-    for key in keys:
-        rows = mix(sbox.take(rows.view("<u2")).view(np.uint8).take(
-            shift, axis=0)) ^ key
-    return sbox.take(rows.view("<u2")).view(np.uint8).take(shift, axis=0)
-
-
-# The kernels run one chunk's byte rows from the first round key's XOR to
-# just before the last one's; keys holds the nine inner keys in their order.
-def _encrypt_rows(rows, windows, start, blocks, keys):
-    rows = _permute(rows, windows, start, blocks)
-    return _rounds(rows, keys, _PAIR_SBOX, SHIFT_IDX, _mix)
-
-
-def _decrypt_rows(rows, windows, start, blocks, keys):
-    rows = _rounds(rows, keys, _PAIR_INV_SBOX, INV_SHIFT_IDX, _inv_mix)
-    return _permute(rows, windows, start, blocks, inverse=True)
+def _ecb(key, src, dst, encrypt):
+    """AES-128-ECB of the (n, 16) uint8 array src into dst, which may be
+    src itself."""
+    if not (src.shape == dst.shape and src.dtype == dst.dtype == np.uint8
+            and src.flags.c_contiguous and dst.flags.c_contiguous
+            and dst.flags.writeable):
+        raise DomainError("AES-128-ECB needs C-contiguous uint8 arrays of "
+                          "one shape, the output writable")
+    lib, done = _LIBCRYPTO, ctypes.c_int()
+    ctx = lib.EVP_CIPHER_CTX_new()
+    if not ctx:
+        raise VpaesError("libcrypto could not allocate a cipher context")
+    try:
+        ok = (lib.EVP_CipherInit_ex(ctx, lib.EVP_aes_128_ecb(), None,
+                                    key.data, None, encrypt) == 1
+              and lib.EVP_CIPHER_CTX_set_padding(ctx, 0) == 1
+              and lib.EVP_CipherUpdate(ctx, dst.ctypes.data, done,
+                                       src.ctypes.data, src.nbytes) == 1)
+    finally:
+        lib.EVP_CIPHER_CTX_free(ctx)
+    if not ok or done.value != src.nbytes:
+        raise VpaesError("libcrypto's AES-128-ECB failed")
 
 
 def _aligned_blocks(data):
@@ -309,25 +302,21 @@ def _aligned_blocks(data):
 
 
 def _run_blocks(data, key, stream, inverse=False):
-    """The payload pipeline. Round keys become (16, 1) columns in the order
-    they are added; decryption is the FIPS-197 equivalent inverse cipher
-    (InvMixColumns applied to round keys 9..1), so both directions run the
-    same round sequence. Each chunk of CHUNK_BLOCKS blocks is transposed
-    into byte rows (16, W) with the first key's XOR (row k holds byte k of
-    every block; W is n in whole uint64 words) and back with the last key's
-    XOR into one preallocated output, so the working set stays cache-sized
-    and memory stays bounded whatever the payload size. From _SPLIT_BLOCKS
-    blocks on, a forked helper may run the second half (see _host)."""
+    """The payload pipeline, chunk by chunk into one preallocated output,
+    so memory stays bounded whatever the payload size. A chunk becomes byte
+    rows (16, W) with k0 XORed in (row k holds byte k of every block; W is
+    n in whole uint64 words), is permuted, and goes back with k0 XORed in
+    again, between the ECB rounds. From _SPLIT_BLOCKS blocks on, a forked
+    helper may run the second half (see _host)."""
     blocks = _aligned_blocks(data)
     if not blocks:
         return b""
+    if _LIBCRYPTO is None:
+        raise VpaesError("the AES rounds need libcrypto, as linked by "
+                         "CPython's _hashlib module")
     windows = window(stream, 0, blocks)  # before any chunk runs or forks
     state = np.frombuffer(data, dtype=np.uint8).reshape(blocks, BLOCK_BYTES)
-    keys = expand_key(key)
-    if inverse:
-        keys = (keys[ROUNDS], *map(_inv_mix_columns, keys[9:0:-1]), keys[0])
-    keys = np.frombuffer(b"".join(keys), np.uint8).reshape(-1, BLOCK_BYTES, 1)
-    kernel = _decrypt_rows if inverse else _encrypt_rows
+    k0 = np.frombuffer(key.data, np.uint8)
     split = blocks >= _SPLIT_BLOCKS and _host.may_fork()
     if split:  # anonymous shared pages: the helper writes its rows in place
         out = np.frombuffer(mmap.mmap(-1, state.nbytes, mmap.MAP_SHARED),
@@ -338,11 +327,16 @@ def _run_blocks(data, key, stream, inverse=False):
     def run(lo, hi):
         for start in range(lo, hi, CHUNK_BLOCKS):
             n = min(CHUNK_BLOCKS, hi - start)
+            src, dst = state[start:start + n], out[start:start + n]
+            if inverse:
+                _ecb(key, src, dst, encrypt=False)
+                src = dst
             rows = np.empty((BLOCK_BYTES, -(-n // 8) * 8), np.uint8)
-            np.bitwise_xor(state[start:start + n].T, keys[0], out=rows[:, :n])
-            rows = kernel(rows, windows, start, n, keys[1:ROUNDS])
-            np.bitwise_xor(rows[:, :n].T, keys[ROUNDS].T,
-                           out=out[start:start + n])
+            np.bitwise_xor(src.T, k0[:, None], out=rows[:, :n])
+            rows = _permute(rows, windows, start, n, inverse=inverse)
+            np.bitwise_xor(rows[:, :n].T, k0, out=dst)
+            if not inverse:
+                _ecb(key, dst, dst, encrypt=True)
 
     if split:
         _host.in_two_processes(run, blocks)

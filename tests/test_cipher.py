@@ -1,29 +1,21 @@
 import os
 import random
 import signal
+import subprocess
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIPS_CIPHER, FIPS_KEY, FIPS_PLAIN
 from oracles import aes_ecb, aes_ecb_decrypt
 from vpaes import _host, cipher
 from vpaes.cipher import (
-    _PAIR_INV_SBOX,
-    _PAIR_SBOX,
-    INV_SBOX,
-    SBOX,
     _bit_rows,
-    _decrypt_rows,
-    _encrypt_rows,
-    _inv_mix,
-    _inv_mix_columns,
-    _mix,
-    _mix_columns,
     _shuffle,
     decrypt_block,
     decrypt_payload,
@@ -158,42 +150,6 @@ class TestDecryptBlock:
         assert decrypt_block(FIPS_CIPHER, IDENT, rk) == FIPS_PLAIN
 
 
-class TestBatchMix:
-    # state i holds (k + 17*i) % 256 at position k; 17 is odd, so over the
-    # 256 states every position takes every byte value
-    STATES = ((np.arange(16) + 17 * np.arange(256)[:, None]) % 256).astype(
-        np.uint8)
-    # byte rows (row k holds byte k of every state): C-contiguous, or a
-    # slice whose row stride includes the bit rows' pad
-    LAYOUTS = {
-        "C": lambda states: np.ascontiguousarray(states.T),
-        "padded": lambda states: np.pad(
-            states.T, ((0, 0), (0, cipher._ROW_PAD)))[:, :len(states)]}
-
-    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    @pytest.mark.parametrize(
-        "batch, scalar",
-        [(_mix, _mix_columns), (_inv_mix, _inv_mix_columns)],
-        ids=["mix", "inv_mix"])
-    def test_equals_scalar_row_by_row(self, batch, scalar, layout):
-        # column by column: column j of the rows is state j
-        rows = self.LAYOUTS[layout](self.STATES)
-        out = batch(rows)
-        assert out.shape == rows.shape
-        for column, state in zip(out.T, self.STATES):
-            assert column.tobytes() == scalar(state.tobytes())
-
-    @pytest.mark.parametrize("layout", sorted(LAYOUTS) + ["scalar"])
-    def test_inv_mix_undoes_mix(self, layout):
-        if layout == "scalar":
-            for state in self.STATES:
-                s = state.tobytes()
-                assert _inv_mix_columns(_mix_columns(s)) == s
-            return
-        rows = self.LAYOUTS[layout](self.STATES)
-        assert np.array_equal(_inv_mix(_mix(rows)), self.STATES.T)
-
-
 STREAMS = {
     "pi": lambda n: pi_fraction_bytes(777, n),
     # every digit 0: each step selects slot 0
@@ -301,51 +257,29 @@ class TestShuffle:
         assert rows.strides[0] % 4096
 
 
-class TestRowKernels:
-    KEYS = expand_key(Key128(bytes(range(1, 17))))
+class TestRunBlocks:
+    KEY = Key128(bytes(range(1, 17)))
 
+    # the payload pipeline, block by block against the scalar reference:
+    # every stream source, both directions, and a payload whose last block
+    # starts a second chunk
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(sorted(STREAMS)), st.integers(1, 70),
-           st.sampled_from([0, 1, 127]), st.booleans(), st.integers(0, 2**32))
-    def test_kernels_equal_scalar_composition(
-            self, source, blocks, start, inverse, seed):
-        # a kernel takes byte rows after the first round key's XOR and stops
-        # before the last one's; the pad columns up to whole uint64 words
-        # hold random bytes too, which must not reach the blocks
-        stream = STREAMS[source](required_byte_count(start + blocks))
-        keys = self.KEYS
-        rows = np.random.default_rng(seed).integers(
-            0, 256, (16, -(-blocks // 8) * 8), np.uint8)
-        if inverse:
-            outer = keys[10], keys[0]
-            inner = [_inv_mix_columns(k) for k in keys[9:0:-1]]
-            kernel, scalar = _decrypt_rows, decrypt_block
-        else:
-            outer = keys[0], keys[10]
-            inner = keys[1:10]
-            kernel, scalar = _encrypt_rows, encrypt_block
-        out = kernel(rows.copy(), stream.data, start, blocks, np.frombuffer(
-            b"".join(inner), np.uint8).reshape(9, 16, 1))
-        assert out.shape == rows.shape
+           st.booleans(), st.integers(0, 2**32))
+    @example("pi", cipher.CHUNK_BLOCKS + 1, False, 0)
+    @example("pi", cipher.CHUNK_BLOCKS + 1, True, 0)
+    def test_equals_scalar_composition(self, source, blocks, inverse, seed):
+        stream = STREAMS[source](required_byte_count(blocks))
+        data = random.Random(seed).randbytes(16 * blocks)
+        out = cipher._run_blocks(data, self.KEY, stream, inverse)
+        assert len(out) == len(data)
+        scalar = decrypt_block if inverse else encrypt_block
+        rk = expand_key(self.KEY)
         for j in range(blocks):
             perm = permutation_from_coefficients(
-                coefficients_from_bytes(window(stream, start + j)))
-            block = bytes(x ^ y for x, y in zip(rows[:, j], outer[0]))
-            expected = bytes(x ^ y for x, y in zip(
-                scalar(block, perm, self.KEYS), outer[1]))
-            assert out[:, j].tobytes() == expected
-
-    @pytest.mark.parametrize("pair, box", [(_PAIR_SBOX, SBOX),
-                                           (_PAIR_INV_SBOX, INV_SBOX)],
-                             ids=["sbox", "inv_sbox"])
-    def test_pair_table_layout(self, pair, box):
-        # entry a | b << 8 is box[a] | box[b] << 8 for every byte pair, so a
-        # little-endian uint16 view of two byte rows looks up both at once
-        index = np.arange(1 << 16)
-        a, b = index & 0xFF, index >> 8
-        s = np.frombuffer(box, np.uint8).astype(np.uint16)
-        assert pair.dtype == np.dtype("<u2")
-        assert np.array_equal(pair[a | b << 8], s[a] | s[b] << 8)
+                coefficients_from_bytes(window(stream, j)))
+            block = slice(16 * j, 16 * j + 16)
+            assert out[block] == scalar(data[block], perm, rk)
 
 
 # (width, height): 1x1 up to 48x48, or one row or one column of up to 400
@@ -529,8 +463,8 @@ class TestChunking:
     @pytest.mark.parametrize("run", DIRECTIONS, ids=["encrypt", "decrypt"])
     def test_peak_memory_beyond_input_and_output(self, monkeypatch, run):
         # beyond the output array and the returned bytes, a call holds one
-        # chunk's bit rows, slot table and round states: about 1 MiB (on
-        # one process, as above)
+        # chunk's byte rows, bit rows and slot table: about 1 MiB (on one
+        # process, as above)
         monkeypatch.setattr(_host, "available_cpus", lambda: 1)
         blocks = 4 * cipher.CHUNK_BLOCKS
         rng = np.random.default_rng(59)
@@ -610,11 +544,13 @@ class TestTwoProcesses:
         # runs or the helper forks
         data, stream = self.payload(cipher._SPLIT_BLOCKS)
         calls = []
-        for name in ("_encrypt_rows", "_decrypt_rows"):
-            def counted(*args, kernel=getattr(cipher, name)):
-                calls.append(args[2])  # the chunk's first block
-                return kernel(*args)
-            monkeypatch.setattr(cipher, name, counted)
+        permute = cipher._permute
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])  # the chunk's first block
+            return permute(*args, **kwargs)
+
+        monkeypatch.setattr(cipher, "_permute", counted)
         monkeypatch.setattr(_host, "available_cpus", lambda: cpus)
         with pytest.raises(DomainError, match=(
                 f"cannot serve blocks 0..{cipher._SPLIT_BLOCKS - 1}$")):
@@ -640,17 +576,16 @@ class TestTwoProcesses:
             pass
 
         caller = os.getpid()
-        name = "_decrypt_rows" if inverse else "_encrypt_rows"
-        kernel = getattr(cipher, name)
+        permute = cipher._permute  # every chunk, in both directions
 
-        def flaky(*args):
+        def flaky(*args, **kwargs):
             if (os.getpid() == caller) == (failing == "caller"):
                 raise HalfFailed(failing)
-            return kernel(*args)
+            return permute(*args, **kwargs)
 
         data, stream = self.payload(cipher._SPLIT_BLOCKS)
         monkeypatch.setattr(_host, "available_cpus", lambda: 2)
-        monkeypatch.setattr(cipher, name, flaky)
+        monkeypatch.setattr(cipher, "_permute", flaky)
         # a helper's failure arrives as VpaesError, with no bytes returned;
         # the caller's own exception passes through once the helper is
         # reaped (the fixture checks that none is left)
@@ -669,16 +604,56 @@ class TestTwoProcesses:
         # with no byte count, the wait status alone tells a half-written
         # output from a whole one
         caller = os.getpid()
-        kernel = cipher._encrypt_rows
+        permute = cipher._permute
 
-        def killed(*args):
+        def killed(*args, **kwargs):
             if os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return kernel(*args)
+            return permute(*args, **kwargs)
 
         data, stream = self.payload(cipher._SPLIT_BLOCKS)
         monkeypatch.setattr(_host, "available_cpus", lambda: 2)
-        monkeypatch.setattr(cipher, "_encrypt_rows", killed)
+        monkeypatch.setattr(cipher, "_permute", killed)
         with pytest.raises(VpaesError, match=f"exit code -{signal.SIGKILL}"):
             cipher._run_blocks(data, self.KEY, stream)
         assert len(forks) == 1
+
+
+class TestLibcrypto:
+    """The rounds run in libcrypto, bound through CPython's _hashlib."""
+
+    def test_binding_is_none_without_hashlib(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "_hashlib", None)
+        assert cipher._bind_libcrypto() is None
+
+    @pytest.mark.parametrize("run", [encrypt_payload, decrypt_payload],
+                             ids=["encrypt", "decrypt"])
+    def test_missing_binding_is_a_typed_error(self, monkeypatch, run):
+        monkeypatch.setattr(cipher, "_LIBCRYPTO", None)
+        with pytest.raises(VpaesError, match="libcrypto"):
+            run(bytes(16 * 3), TestPayload.KEY)
+
+    def test_ecb_checks_its_buffers(self):
+        # libcrypto writes through raw pointers: one shape, uint8, C order
+        blocks = np.zeros((4, 16), np.uint8)
+        for src, dst in [(blocks, blocks[::2]), (blocks[::2], blocks[:2]),
+                         (np.asfortranarray(blocks), blocks),
+                         (blocks, np.zeros((4, 16), np.uint16)),
+                         (blocks, np.frombuffer(bytes(64), np.uint8)
+                          .reshape(4, 16))]:
+            with pytest.raises(DomainError):
+                cipher._ecb(TestPayload.KEY, src, dst, encrypt=True)
+        cipher._ecb(TestPayload.KEY, blocks, blocks, encrypt=True)
+        assert blocks.tobytes() == aes_ecb(TestPayload.KEY.data, bytes(64))
+
+    def test_package_import_does_not_load_cryptography(self):
+        # the tests' AES oracle stays independent of the code it checks
+        src = os.path.dirname(os.path.dirname(cipher.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, vpaes, vpaes.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.partition('.')[0] == 'cryptography'))"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, check=True)
+        assert out.stdout.strip() == "[]"

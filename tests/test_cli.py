@@ -6,7 +6,7 @@ import math
 import pytest
 
 import vpaes
-from vpaes import randstat
+from vpaes import cipher, randstat
 from conftest import random_image, text_style_image
 from vpaes.cli import main, parse_key_hex
 from vpaes.errors import KeyFormatError
@@ -221,6 +221,24 @@ class TestExitCodes:
             f"Is a directory: '{view}'\n")
         assert not out.exists()
         assert not list(tmp_path.glob(".tmp-vpaes-*"))
+
+    def test_missing_libcrypto_is_1(self, tmp_path, capsys, monkeypatch):
+        # encrypt needs the AES binding and writes nothing without it;
+        # analyze runs no cipher code
+        src = write_ppm(tmp_path / "in.ppm", random_image(64, 64, 3, seed=5))
+        enc = tmp_path / "o.vpaes"
+        assert main(["encrypt", "--in", src, "--out", str(enc),
+                     "--key", KEY]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cipher, "_LIBCRYPTO", None)
+        out = tmp_path / "again.vpaes"
+        assert main(["encrypt", "--in", src, "--out", str(out),
+                     "--key", KEY, "--view", str(tmp_path / "v.ppm")]) == 1
+        assert "libcrypto" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "v.ppm").exists()
+        assert not list(tmp_path.glob(".tmp-vpaes-*"))
+        assert main(["analyze", "--in", str(enc), "--out",
+                     str(tmp_path / "r.txt")]) == 0
 
     def test_bad_container_is_5(self, tmp_path):
         bogus = tmp_path / "bogus.vpaes"
