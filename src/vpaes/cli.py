@@ -238,6 +238,7 @@ def _at_least(minimum, maximum=None):
     return integer
 
 
+@functools.cache  # parse_args keeps no state in the parser
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="vpaes",

@@ -14,6 +14,7 @@ Samplers are seeded, so every reported number is reproducible from
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -172,19 +173,35 @@ def _part_count(n, n1):
                  and _host.available_cpus() > 1) else 1
 
 
+@lru_cache(maxsize=1)  # the three channels of an image share a length
+def _twiddles(n):
+    """_low_peaks' (n1, s, coarse, fine) for n bits, the tables read-only:
+    n1 is n's largest divisor <= sqrt(n), and at j2 = a*s + b the twiddle
+    w_n^(j2*k1) is coarse[a, k1] * fine[k1, b], exponents reduced mod n."""
+    n1 = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+    n2 = n // n1
+    k1 = np.arange(n1 // 2 + 1)
+    s = math.isqrt(n2 - 1) + 1
+    turn = -2j * math.pi / n
+    coarse = np.exp(np.arange(0, n2, s)[:, None] * k1 % n * turn)
+    fine = np.exp(k1[:, None] * np.arange(s) % n * turn)
+    coarse.flags.writeable = fine.flags.writeable = False
+    return n1, s, coarse, fine
+
+
 def _low_peaks(bits, threshold):
     """How many of |X_1| .. |X_{n/2-1}| lie below `threshold`, X the DFT of
     the +/-1 sequence of `bits` (even length n), in float64.
 
     Bailey's four-step DFT in cache-sized batches instead of one n-point
-    transform. With n = n1*n2 (n1 the largest divisor <= sqrt(n); not the
-    peak count), j = j1*n2 + j2 and k = k1 + n1*k2, X_k is the length-n2
-    DFT over j2 of w_n^(j2*k1) times the length-n1 DFT over j1. The real
-    first stage gives rows k1 = 0..n1/2 only, which is enough: |X_k| =
-    |X_{n-k}|, and a row 0 < k1 < n1/2 holds exactly one of each such pair,
-    while rows 0 and n1/2 hold both, so there only 1 <= k < n/2 counts.
-    The array between the stages, 16*n2*(n1//2 + 1) bytes, is the only
-    n-sized one; it is held in row blocks (_Z_BATCHES).
+    transform. With n = n1*n2 (_twiddles), j = j1*n2 + j2 and k = k1 +
+    n1*k2, X_k is the length-n2 DFT over j2 of w_n^(j2*k1) times the
+    length-n1 DFT over j1, down the columns of the bit rows. The real first
+    stage gives rows k1 = 0..n1/2 only, which is enough: |X_k| = |X_{n-k}|,
+    and a row 0 < k1 < n1/2 holds one of each such pair, while rows 0 and
+    n1/2 hold both, so there only 1 <= k < n/2 counts. The array between
+    the stages, 16*n2*(n1//2 + 1) bytes, is the only n-sized one; it is
+    held in row blocks (_Z_BATCHES).
 
     Each stage's batches are dealt out to _part_count(n, n1) parts
     (_host.in_parts; numpy's FFTs release the GIL): first-stage batches
@@ -192,42 +209,34 @@ def _low_peaks(bits, threshold):
     each return an integer count, so the parts change no number.
     """
     n = len(bits)
-    divisors = np.arange(1, math.isqrt(n) + 1)
-    n1 = int(divisors[n % divisors == 0][-1])
+    n1, s, coarse, fine = _twiddles(n)
     n2 = n // n1
     rows = bits.reshape(n1, n2)
-    k1 = np.arange(n1 // 2 + 1)
-    # first-stage batch a holds the s rows j2 = a*s + b, whose twiddles are
-    # w_n^(j2*k1) = w_n^(a*s*k1) * w_n^(b*k1): two tables of about sqrt(n2)
-    # rows each, exponents reduced mod n
-    s = math.isqrt(n2 - 1) + 1
-    turn = -2j * math.pi / n
-    coarse = np.exp(np.arange(0, n2, s)[:, None] * k1 % n * turn)
-    fine = np.exp(np.arange(s)[:, None] * k1 % n * turn)
+    half = n1 // 2 + 1  # first-stage rows k1 = 0..n1/2
     step = max(1, _FFT_BLOCK // n2)
     tall = _Z_BATCHES * step
-    tops = range(0, len(k1), tall)
+    tops = range(0, half, tall)
     zs = _spare.pop(n, None) or [  # z[k1, j2] is zs[k1 // tall][k1 % tall, j2]
-        np.empty((min(tall, len(k1) - r), n2), complex) for r in tops]
+        np.empty((min(tall, half - r), n2), complex) for r in tops]
     parts = _part_count(n, n1)
     # one buffer per part, allocated on the calling thread rather than in a
-    # helper's malloc arena: a batch's +/-1 rows (n1 floats a row) until its
-    # rfft has run, then its twiddles (n1//2 + 1 complex a row), so a part
-    # holds two batch-sized arrays, not three
-    buffers = [np.empty((s, len(k1)), complex) for _ in range(parts)]
+    # helper's malloc arena: a batch's +/-1 values, then its twiddles, so a
+    # part holds two batch-sized arrays, not three
+    buffers = [np.empty((half, s), complex) for _ in range(parts)]
 
     def first(part):
+        # the rfft lanes are the columns, which numpy buffers: no transpose
         buf = buffers[part]
         for a in range(part, len(coarse), parts):
             lo = a * s
             m = min(s, n2 - lo)
-            x = buf.reshape(-1).view(float)[:m * n1].reshape(m, n1)
-            np.multiply(rows[:, lo:lo + m].T, 2.0, out=x)
+            x = buf.reshape(-1).view(float)[:n1 * m].reshape(n1, m)
+            np.multiply(rows[:, lo:lo + m], 2.0, out=x)
             x -= 1.0
-            y = np.fft.rfft(x)
-            y *= np.multiply(coarse[a], fine[:m], out=buf[:m])
+            y = np.fft.rfft(x, axis=0)
+            y *= np.multiply(coarse[a, :, None], fine[:, :m], out=buf[:, :m])
             for r, zr in zip(tops, zs):
-                zr[:, lo:lo + m] = y[:, r:r + tall].T
+                zr[:, lo:lo + m] = y[r:r + tall]
             del y  # before the next batch's rfft allocates its own
 
     _host.in_parts(parts, first)
@@ -244,7 +253,7 @@ def _low_peaks(bits, threshold):
                    for v in inner[part::parts])
 
     count += sum(_host.in_parts(parts, second))
-    if 16 * len(k1) * n2 <= _KEEP_BYTES:
+    if 16 * half * n2 <= _KEEP_BYTES:
         _spare.clear()
         _spare[n] = zs
     return int(count)

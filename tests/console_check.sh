@@ -2,11 +2,14 @@
 # End to end through the installed `vpaes` console script, which no test calls:
 # a P6 round trip must give back the input's bytes, a negative --seed and
 # sensitivity's --alpha (only analyze takes one) must be usage errors (exit 2),
-# analyze on a 64x64 container must exit 0 with all 18 results (6 tests x 3
-# channels) and no error entry, and select-score and sensitivity on the 64x64
-# image must exit 0 with one result a channel (sensitivity adds the largest
-# |r|). It runs in a temporary directory, and a CPU pinning such as
-# `taskset -c 0 bash tests/console_check.sh` holds for each command it starts.
+# analyze on a 64x64 and on a 256x256 container must exit 0 with all 18
+# results (6 tests x 3 channels) and no error entry, and select-score and
+# sensitivity on the 64x64 image must exit 0 with one result a channel
+# (sensitivity adds the largest |r|). A 256x256 channel holds 2^19 bits, the
+# first length whose spectral test splits between two threads where the
+# process may run on two CPUs. It runs in a temporary directory, and a CPU
+# pinning such as `taskset -c 0 bash tests/console_check.sh` holds for each
+# command it starts.
 set -euo pipefail
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -21,8 +24,12 @@ vpaes analyze --in in.ppm --seed -1 || status=$?
 test "$status" -eq 2
 python -c "import sys; sys.stdout.buffer.write(b'P6\n64 64\n255\n' + bytes(range(256)) * 48)" > sq.ppm
 vpaes encrypt --in sq.ppm --out ct.vpaes --key $key
-vpaes analyze --in ct.vpaes --report json --out r.json
-python -c "import json; r = json.load(open('r.json'))['results']; assert len(r) == 18 and all('error' not in e for e in r), r"
+python -c "import sys; sys.stdout.buffer.write(b'P6\n256 256\n255\n' + bytes(range(256)) * 768)" > big.ppm
+vpaes encrypt --in big.ppm --out big.vpaes --key $key
+for container in ct.vpaes big.vpaes; do
+    vpaes analyze --in $container --report json --out r.json
+    python -c "import json; r = json.load(open('r.json'))['results']; assert len(r) == 18 and all('error' not in e for e in r), r"
+done
 vpaes select-score --in sq.ppm --report json --out s.json
 python -c "import json; r = json.load(open('s.json'))['results']; assert len(r) == 3, r"
 vpaes sensitivity --in sq.ppm --key $key --report json --out k.json

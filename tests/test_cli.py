@@ -6,7 +6,7 @@ import math
 import pytest
 
 import vpaes
-from vpaes import cipher, randstat
+from vpaes import cipher, cli, randstat
 from conftest import random_image, text_style_image
 from vpaes.cli import main, parse_key_hex
 from vpaes.errors import KeyFormatError
@@ -93,6 +93,36 @@ class TestEncryptDecrypt:
         assert main(["decrypt", "--in", enc, "--out", dec,
                      "--key", other]) == 0
         assert load_image(dec) != img
+
+
+class TestParser:
+    def test_built_once_per_process(self, tmp_path):
+        src = write_ppm(tmp_path / "in.ppm", random_image(8, 8, 3, seed=5))
+        cli._build_parser.cache_clear()
+        for name in ("a", "b"):
+            assert main(["select-score", "--in", src,
+                         "--out", str(tmp_path / name)]) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_usage_error_leaves_the_next_call_unchanged(self, tmp_path,
+                                                        capsys):
+        src = write_ppm(tmp_path / "in.ppm", random_image(64, 64, 3, seed=5))
+        fresh, after = tmp_path / "fresh.json", tmp_path / "after.json"
+        analyze = ["analyze", "--in", src, "--report", "json", "--out"]
+        cli._build_parser.cache_clear()
+        assert main(analyze + [str(fresh)]) == 0
+        assert main(analyze + [str(tmp_path / "other.json"), "--seed", "5",
+                               "--samples", "40", "--alpha", "0.001"]) == 0
+        for bad in (["--seed", "-1"], ["--alpha", "0.05"], ["--key", KEY]):
+            with pytest.raises(SystemExit) as exc:
+                main(analyze + [str(after)] + bad)
+            assert exc.value.code == 2
+        assert not after.exists()
+        capsys.readouterr()
+        assert main(analyze + [str(after)]) == 0
+        assert after.read_bytes() == fresh.read_bytes()
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestExitCodes:

@@ -308,6 +308,32 @@ def spectral_n1(bits):
     return spectral_dft_test(bits)["n1"]
 
 
+def transposed_first_stage(bits):
+    """The array between the four-step kernel's stages, z[k1, j2], computed
+    batch by batch through the transpose: the +/-1 of the batch's columns as
+    rows, a last-axis rfft, twiddles coarse[a] * fine[:m] with fine indexed
+    (b, k1), and a transposed store. Kept as the reference for the
+    kernel's first stage, which reads the columns in place."""
+    n = len(bits)
+    divisors = np.arange(1, math.isqrt(n) + 1)
+    n1 = int(divisors[n % divisors == 0][-1])
+    n2 = n // n1
+    rows = bits.reshape(n1, n2)
+    k1 = np.arange(n1 // 2 + 1)
+    s = math.isqrt(n2 - 1) + 1
+    turn = -2j * math.pi / n
+    coarse = np.exp(np.arange(0, n2, s)[:, None] * k1 % n * turn)
+    fine = np.exp(np.arange(s)[:, None] * k1 % n * turn)
+    z = np.empty((len(k1), n2), complex)
+    for a in range(len(coarse)):
+        lo = a * s
+        m = min(s, n2 - lo)
+        y = np.fft.rfft(rows[:, lo:lo + m].T * 2.0 - 1.0)
+        y *= coarse[a] * fine[:m]
+        z[:, lo:lo + m] = y.T
+    return z
+
+
 class TestSpectralKernel:
     """The four-step count equals the direct rfft count. With n = n1*n2
     and n1 the largest divisor <= sqrt(n), the lengths below cover n1 = 2,
@@ -381,6 +407,45 @@ class TestSpectralBlocks:
         assert n not in randstat._spare
 
 
+class TestSpectralFirstStage:
+    """The first stage reads the bit rows in place and takes its tables
+    from _twiddles, once per length; the array it leaves between the
+    stages is bit for bit the transposed reference's."""
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    @pytest.mark.parametrize("length", [
+        2**18 - 8, 2**18 + 8, 2**19,
+        2 * 211 ** 2,  # odd n1 = 211
+        1000,
+    ])
+    def test_between_stages_bit_identical(self, monkeypatch, length, parts):
+        bits = np.random.default_rng(length).integers(0, 2, length, np.uint8)
+        monkeypatch.setattr(randstat, "_part_count", lambda n, n1: parts)
+        spectral_dft_test(bits)
+        z = np.concatenate(randstat._spare[length])
+        expected = transposed_first_stage(bits)
+        assert np.array_equal(z.view(np.uint64), expected.view(np.uint64))
+
+    def test_tables_built_once_per_length(self):
+        img = random_image(64, 64, 3, seed=50)
+        randstat._twiddles.cache_clear()
+        for ch in ("red", "green", "blue"):
+            spectral_dft_test(channel_bits(img, ch))
+        info = randstat._twiddles.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        spectral_dft_test(channel_bits(random_image(64, 32, 1, seed=51),
+                                       "gray"))
+        assert randstat._twiddles.cache_info().misses == 2
+
+    def test_tables_are_read_only(self):
+        n1, s, coarse, fine = randstat._twiddles(2**19)
+        assert (n1, s, coarse.shape, fine.shape) == (
+            512, 32, (32, 257), (257, 32))
+        for table in (coarse, fine):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0
+
+
 class TestSpectralParts:
     """The kernel deals each stage's batches out to _part_count(n, n1)
     threads. First-stage batches fill disjoint columns and second-stage
@@ -438,11 +503,11 @@ class TestSpectralParts:
         transform = getattr(np.fft, stage)
         main = threading.main_thread()
 
-        def flaky(x):
+        def flaky(x, **kwargs):
             on_caller = threading.current_thread() is main
             if failing == "both" or on_caller == (failing == "caller"):
                 raise PartFailed("caller" if on_caller else "helper")
-            return transform(x)
+            return transform(x, **kwargs)
 
         bits = np.random.default_rng(30).integers(0, 2, 2**19, np.uint8)
         monkeypatch.setattr(randstat, "_part_count", lambda n, n1: 2)
