@@ -1,9 +1,10 @@
 """What the host lets this process use, and the one place that forks or
-starts threads: a large payload splits between the caller and one forked
-helper (in_two_processes, when may_fork()), the spectral test's FFT
-batches between threads (in_parts). Threads would not help the payload:
-GIL handoffs between its microsecond-sized numpy calls cost more than a
-second core gives."""
+starts threads: one forked helper (in_two_processes, when may_fork()) takes
+half of a large payload or the right part of a cold pi's series, and the
+spectral test's FFT batches split between threads (in_parts). Threads would
+not help the helper's work: _decimal holds the GIL, and GIL handoffs
+between the payload's microsecond-sized numpy calls cost more than a second
+core gives."""
 
 import gc
 import os
@@ -29,30 +30,42 @@ def may_fork():
             and available_cpus() > 1)
 
 
-def in_two_processes(run, n):
-    """run(0, mid) on the calling thread while a forked helper runs
-    run(mid, n). The helper returns only its exit status, so run must write
-    to pages the processes share; any status but 0 raises VpaesError."""
-    mid = n // 2
-    with warnings.catch_warnings():
-        # Python 3.12+ warns on a fork beside numpy's OpenBLAS thread; the
-        # helper's numpy array ops call no BLAS, and it leaves by os._exit
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if not pid:
+def in_two_processes(mine, theirs):
+    """(mine(), theirs()): mine runs on the calling thread while a forked
+    helper runs theirs, whose bytes come back through a pipe behind their
+    length. The helper is reaped before this returns or re-raises; if it
+    exits non-zero or sends other than it announced, VpaesError is raised."""
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as pipe, open(write_end, "wb") as sink:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork beside numpy's OpenBLAS thread;
+            # the helpers call no BLAS, and they leave by os._exit
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if not pid:
+            try:
+                pipe.close()  # so the caller's close alone ends the pipe
+                gc.disable()  # a collection could rerun caller finalizers
+                data = theirs()
+                sink.write(len(data).to_bytes(8, "big") + data)
+                sink.flush()
+                os._exit(0)
+            finally:
+                os._exit(1)
+        sink.close()  # the helper holds the only write end left
         try:
-            gc.disable()  # a collection could rerun caller finalizers
-            run(mid, n)
-            os._exit(0)
+            result, head = mine(), pipe.read(8)
+            size = int.from_bytes(head, "big")
+            data = pipe.read(size)
+            sent = len(head) + len(data) + len(pipe.read())
         finally:
-            os._exit(1)
-    try:
-        run(0, mid)
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if status:
-        raise VpaesError("payload helper process failed (exit code "
-                         f"{os.waitstatus_to_exitcode(status)})")
+            pipe.close()  # a helper still writing gets EPIPE and exits
+            status = os.waitpid(pid, 0)[1]
+    if status or sent != 8 + size:
+        raise VpaesError(
+            f"helper process failed (sent {sent} of {8 + size} bytes, "
+            f"exit code {os.waitstatus_to_exitcode(status)})")
+    return result, data
 
 
 def in_parts(parts, work):

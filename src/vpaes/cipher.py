@@ -339,7 +339,8 @@ def _run_blocks(data, key, stream, inverse=False):
                 _ecb(key, dst, dst, encrypt=True)
 
     if split:
-        _host.in_two_processes(run, blocks)
+        _host.in_two_processes(lambda: run(0, blocks // 2),
+                               lambda: run(blocks // 2, blocks) or b"")
     else:
         run(0, blocks)
     return out.tobytes()

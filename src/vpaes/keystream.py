@@ -16,6 +16,9 @@ K = 426880 * 10005 and r = 1/sqrt(10005). The big arithmetic is libmpdec, the
 C `decimal` module (exact number-theoretic products, correctly rounded
 division), called through private contexts: the thread's decimal context is
 never read or changed. Without `_decimal`, computing pi raises VpaesError.
+From _SPLIT_TERMS terms on, where _host.may_fork(), a forked helper sums the
+right part of the series while this process sums the left and computes r'
+and 2^p. Q and T are exact integers, so pi is the same on one process or two.
 
 `_pi_fixed(p)` returns floor(z), z = fl(fl(fl(fl(K Q) / fl(T)) r') 2^p), where
 fl rounds half-even to D = floor(0.30103 p) + 8 digits (10^D >= 2^p 10^7),
@@ -53,6 +56,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import _host
 from .errors import DomainError, VpaesError
 from .permgen import WINDOW_BYTES
 
@@ -73,6 +77,10 @@ PI_ERROR_ULPS = 2
 _A, _B, _C3_24 = 13591409, 545140134, 640320 ** 3 // 24
 _LEAF_TERMS = 100  # most terms in one int leaf of the split
 _STR_DIGITS = 512  # _to_int's str pieces: under 640, the least int/str limit
+# Cold pi on one process and two, medians of 31 alternated calls: 19.4 and
+# 17.8 ms at 1,000 terms, 45.5 and 35.4 at 2,100 (256x256); two lost at 600
+# and below. The left part, 48%, also computes r' and 2^p (fastest of 42-50).
+_SPLIT_TERMS, _LEFT_SHARE = 1000, 48
 
 
 @dataclass(frozen=True)
@@ -192,10 +200,28 @@ def _pi_fixed(prec):
         raise VpaesError("pi needs CPython's C decimal module, _decimal")
     digits = prec * 30103 // 100000 + 8
     ctx = _context(digits, ROUND_HALF_EVEN)
-    _, q, t = _chudnovsky_split(0, prec // 47 + 2, need_p=False)
-    ratio = ctx.divide(ctx.multiply(q, 426880 * 10005), ctx.plus(t))
-    pi = ctx.multiply(ratio, _inv_sqrt_10005(digits))
-    return _to_int(ctx.multiply(pi, _EXACT.power(2, prec)))
+    n = prec // 47 + 2
+    mid = n * _LEFT_SHARE // 100 if (
+        n >= _SPLIT_TERMS and _host.may_fork()) else n
+
+    def left():
+        return (_chudnovsky_split(0, mid, need_p=mid < n),
+                _inv_sqrt_10005(digits), _EXACT.power(2, prec))
+
+    def right():  # Q and T as text: libmpdec converts it in linear time
+        _, q, t = _chudnovsky_split(mid, n, need_p=False)
+        return " ".join(map(_EXACT.to_sci_string, (q, t))).encode()
+
+    if mid == n:
+        (_, q, t), r, scale = left()
+    else:
+        ((p, q, t), r, scale), text = _host.in_two_processes(left, right)
+        q2, t2 = map(_EXACT.create_decimal, text.decode().split())
+        mul = _EXACT.multiply  # the top merge, as in _chudnovsky_split
+        q, t = mul(q, q2), _EXACT.add(mul(q2, t), mul(p, t2))
+        del p, q2, t2, text  # before the division, the largest step
+    q, t = ctx.multiply(q, 426880 * 10005), ctx.plus(t)  # drops exact Q, T
+    return _to_int(ctx.multiply(ctx.multiply(ctx.divide(q, t), r), scale))
 
 
 # [precision, pi at that scale] of the most precise pi computed so far.

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
@@ -14,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import mp_frac_bytes, pi_fraction_bytes_bbp
-from vpaes import keystream
-from vpaes.errors import DomainError
+from vpaes import _host, keystream
+from vpaes.errors import DomainError, VpaesError
 from vpaes.keystream import (
     FractionStream,
     Key128,
@@ -293,6 +294,99 @@ class TestPiCache:
         assert keystream._pi_cache[0] == pi_calls[1]
         pi_fraction_bytes(l + 1, self.COUNT // 2)
         assert len(pi_calls) == 2
+
+
+def image_count(side):
+    """The stream bytes that a side x side colour image's blocks read."""
+    return required_byte_count(-(-3 * side * side // 16))
+
+
+def image_precision(side):
+    """The precision of the pi that a cold keystream for a side x side
+    colour image computes: a full key's bits and the guard bits below the
+    stream's."""
+    return (8 * image_count(side) + 8 * keystream.KEY_BYTES
+            + keystream.GUARD_BITS)
+
+
+def terms_precision(terms):
+    """The least precision at which _pi_fixed sums `terms` terms."""
+    return 47 * (terms - 2)
+
+
+SPLIT = keystream._SPLIT_TERMS
+
+
+class TestTwoProcesses:
+    """From _SPLIT_TERMS terms on, with two CPUs, _pi_fixed sums the right
+    part of the series in a forked helper. Q and T are exact integers, so
+    pi cannot change."""
+
+    @pytest.mark.parametrize("prec", [
+        terms_precision(SPLIT - 1), terms_precision(SPLIT),
+        terms_precision(SPLIT + 1), image_precision(512),
+        image_precision(1024)],
+        ids=["threshold-1", "threshold", "threshold+1", "512x512",
+             "1024x1024"])
+    def test_split_equals_one_process(self, monkeypatch, forks, prec):
+        monkeypatch.setattr(_host, "available_cpus", lambda: 1)
+        one = keystream._pi_fixed(prec)
+        assert not forks
+        monkeypatch.setattr(_host, "available_cpus", lambda: 2)
+        assert keystream._pi_fixed(prec) == one
+        assert forks == [1] * (prec // 47 + 2 >= SPLIT)
+
+    def test_no_fork_below_threshold_on_one_cpu_or_beside_a_thread(
+            self, monkeypatch, forks):
+        at = terms_precision(SPLIT)
+        monkeypatch.setattr(_host, "available_cpus", lambda: 2)
+        keystream._pi_fixed(terms_precision(SPLIT - 1))
+        assert not forks
+        monkeypatch.setattr(_host, "available_cpus", lambda: 1)
+        keystream._pi_fixed(at)
+        assert not forks
+        monkeypatch.setattr(_host, "available_cpus", lambda: 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        other.start()
+        try:
+            keystream._pi_fixed(at)
+        finally:
+            release.set()
+            other.join(10)
+        assert not other.is_alive()
+        assert not forks
+        keystream._pi_fixed(at)
+        assert forks == [1]
+
+    def test_cold_keystream_forks_once(self, monkeypatch, forks, pi_calls):
+        # the second key is served from the cached pi: no pi, no fork
+        monkeypatch.setattr(_host, "available_cpus", lambda: 2)
+        count = image_count(512)
+        for l in (1, (1 << 128) - 1):
+            pi_fraction_bytes(l, count)
+        assert pi_calls == [image_precision(512)]
+        assert forks == [1]
+
+    def test_failed_helper_is_a_typed_error_and_caches_nothing(
+            self, monkeypatch, forks, pi_calls):
+        caller = os.getpid()
+        split = keystream._chudnovsky_split
+
+        def failing(a, b, need_p=True):
+            if os.getpid() != caller:
+                os._exit(5)
+            return split(a, b, need_p)
+
+        monkeypatch.setattr(_host, "available_cpus", lambda: 2)
+        monkeypatch.setattr(keystream, "_chudnovsky_split", failing)
+        count = image_count(256)
+        with pytest.raises(VpaesError, match=r"exit code 5\)$"):
+            pi_fraction_bytes(7, count)
+        monkeypatch.setattr(keystream, "_chudnovsky_split", split)
+        pi_fraction_bytes(7, count)  # nothing was cached: pi again
+        assert pi_calls == [image_precision(256)] * 2
+        assert forks == [1, 1]
 
 
 class TestStreamProperties:
