@@ -4,7 +4,10 @@ half of a large payload or the right part of a cold pi's series, and the
 spectral test's FFT batches split between threads (in_parts). Threads would
 not help the helper's work: _decimal holds the GIL, and GIL handoffs
 between the payload's microsecond-sized numpy calls cost more than a second
-core gives."""
+core gives. Each helper first leaves its caller's CPU (_leave): where the
+scheduler does not balance load, a new task stays on its creator's CPU, and
+the halves would take turns on one core. The caller's mask never changes;
+where its CPU cannot be read, or no other is allowed, nothing moves."""
 
 import gc
 import os
@@ -30,12 +33,34 @@ def may_fork():
             and available_cpus() > 1)
 
 
+def _cpu():
+    """The CPU the calling thread runs on, field 39 of its Linux stat, or
+    None where that cannot be read."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as stat:
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _leave(cpu):
+    """Move the calling thread (pid 0, on Linux) to the other CPUs of its
+    affinity mask, where cpu is known and the mask has others."""
+    others = cpu is not None and os.sched_getaffinity(0) - {cpu}
+    try:
+        if others:
+            os.sched_setaffinity(0, others)
+    except OSError:  # the mask shrank meanwhile: stay
+        pass
+
+
 def in_two_processes(mine, theirs):
     """(mine(), theirs()): mine runs on the calling thread while a forked
     helper runs theirs, whose bytes come back through a pipe behind their
     length. The helper is reaped before this returns or re-raises; if it
     exits non-zero or sends other than it announced, VpaesError is raised."""
     read_end, write_end = os.pipe()
+    cpu = _cpu()
     with open(read_end, "rb") as pipe, open(write_end, "wb") as sink:
         with warnings.catch_warnings():
             # Python 3.12+ warns on a fork beside numpy's OpenBLAS thread;
@@ -46,6 +71,7 @@ def in_two_processes(mine, theirs):
             try:
                 pipe.close()  # so the caller's close alone ends the pipe
                 gc.disable()  # a collection could rerun caller finalizers
+                _leave(cpu)
                 data = theirs()
                 sink.write(len(data).to_bytes(8, "big") + data)
                 sink.flush()
@@ -74,9 +100,12 @@ def in_parts(parts, work):
     thread outlives the call. The lowest part's exception is re-raised here.
     The parts run in parallel only where work releases the GIL."""
     results, errors = [None] * parts, {}
+    cpu = _cpu() if parts > 1 else None
 
     def run(i):
         try:
+            if i:
+                _leave(cpu)
             results[i] = work(i)
         except BaseException as exc:
             errors[i] = exc

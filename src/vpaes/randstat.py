@@ -44,15 +44,15 @@ _Z_BATCHES = 16
 _KEEP_BYTES = 1 << 25
 _spare = {}  # bit count -> the blocks of the last call of that length
 # Each part gets at least 2^18 bits: a second thread paid from 2^19 bits on.
-# Medians of 30 alternated calls, one part against two, 2-core x86-64:
-# 5.6 against 6.1 ms at 2^18 bits, 9.0 against 8.4 ms at 3 * 2^17 (even),
-# 13.5 against 10.6 ms at 2^19 (two parts faster in 23 of 30) and 50 against
-# 33 ms at 2^21, a 512x512 channel. Below 2^18 two parts were slower still.
+# Medians of 30 alternated calls, one part against two, the helper thread on
+# the other CPU, two runs, 2-core x86-64: 2.8-4.2 against 2.9-4.2 ms at 2^18
+# bits, 4.4-6.1 against 4.5-4.9 ms at 3 * 2^17 (two faster in 14, 29 of 30),
+# 6.1-8.6 against 5.5-6.1 ms at 2^19 (28 and 30 of 30) and 28-35 against
+# 18-20 ms at 2^21, a 512x512 channel. Below 2^18 two parts were slower still.
 _PART_BITS = 1 << 18
-# A second thread needs n1 >= 16 too. Two parts against one (medians of 5-11
-# alternated calls, 2-core x86-64, n = n1 times a prime) took 1.04-1.15 times
-# as long with n1 = 2 or 4 at 2^19, 2^20 and 2^21 bits, and 1.09 and 1.04
-# with n1 = 8 at 2^19 and 370,696 bits; with n1 = 16, 0.80-0.89 at each.
+# A second thread needs n1 >= 16 too. Two parts against one (as above, n = n1
+# times a prime near 2^19 bits) took 1.08-1.10 times as long with n1 = 4,
+# 0.94-1.08 with n1 = 8 (two faster in 23, 8 of 30) and 0.82-0.90 with n1 = 16.
 _PART_N1 = 16
 
 

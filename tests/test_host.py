@@ -1,8 +1,11 @@
 """_host.in_two_processes, the one forked helper: its answer comes back
 through a pipe behind its length, and every way it can fail reaches the
-caller, with the helper reaped (the autouse forks fixture checks that)."""
+caller, with the helper reaped (the autouse forks fixture checks that).
+Each helper, forked or a thread of _host.in_parts, leaves its caller's CPU
+where another is allowed, and the caller's mask stays as it was."""
 
 import os
+import threading
 
 import pytest
 
@@ -76,3 +79,88 @@ def test_callers_exception_passes_once_the_helper_is_reaped(forks):
     with pytest.raises(Failed):
         _host.in_two_processes(mine, lambda: bytes(2**20))
     assert len(forks) == 1
+
+
+def in_pinned_thread(cpu, work):
+    """work() on a new thread whose affinity mask is {cpu} alone; the
+    process's other threads keep theirs."""
+    out = []
+
+    def run():
+        os.sched_setaffinity(0, {cpu})
+        out.append(work())
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    return out[0]
+
+
+def test_cpu_is_the_calling_threads():
+    for cpu in sorted(os.sched_getaffinity(0)):
+        assert in_pinned_thread(cpu, _host._cpu) == cpu
+
+
+def test_a_lone_cpu_stays():
+    # no other CPU allowed: the helper thread keeps the caller's mask
+    for cpu in sorted(os.sched_getaffinity(0)):
+        masks = in_pinned_thread(cpu, lambda: _host.in_parts(
+            2, lambda i: os.sched_getaffinity(0)))
+        assert masks == [{cpu}, {cpu}]
+
+
+read_cpu = _host._cpu  # the reader itself, whatever a test patches in
+
+
+def placement():
+    """The calling thread's affinity mask and CPU, as text."""
+    return b"%r %d" % (sorted(os.sched_getaffinity(0)), read_cpu())
+
+
+two_cpus = pytest.mark.skipif(_host.available_cpus() < 2,
+                              reason="needs two available CPUs")
+
+
+@pytest.fixture
+def seen(monkeypatch):
+    """The CPUs _host read as its caller's, in order."""
+    cpus = []
+    monkeypatch.setattr(_host, "_cpu",
+                        lambda: cpus.append(read_cpu()) or cpus[-1])
+    return cpus
+
+
+@two_cpus
+def test_forked_helper_leaves_the_callers_cpu(forks, seen):
+    mask = os.sched_getaffinity(0)
+    _, theirs = _host.in_two_processes(lambda: None, placement)
+    others = sorted(mask - set(seen))
+    assert len(seen) == 1 and theirs.startswith(b"%r " % others)
+    assert int(theirs.split()[-1]) in others
+    assert os.sched_getaffinity(0) == mask
+
+
+@two_cpus
+def test_helper_threads_leave_the_callers_cpu(seen):
+    mask = os.sched_getaffinity(0)
+    parts = _host.in_parts(3, lambda i: placement())
+    others = sorted(mask - set(seen))
+    assert len(seen) == 1 and parts[0].startswith(b"%r " % sorted(mask))
+    for part in parts[1:]:
+        assert part.startswith(b"%r " % others)
+        assert int(part.split()[-1]) in others
+    assert os.sched_getaffinity(0) == mask
+
+
+@two_cpus
+def test_unread_cpu_moves_nothing(forks, monkeypatch):
+    monkeypatch.setattr(_host, "_cpu", lambda: None)
+    mask = os.sched_getaffinity(0)
+
+    def work(i=0):
+        return b"%r" % sorted(os.sched_getaffinity(0))
+
+    assert _host.in_two_processes(lambda: "mine", work) == (
+        "mine", b"%r" % sorted(mask))
+    assert _host.in_parts(3, work) == [b"%r" % sorted(mask)] * 3
+    assert os.sched_getaffinity(0) == mask
