@@ -4,15 +4,16 @@ half of a large payload or the right part of a cold pi's series, and the
 spectral test's FFT batches split between threads (in_parts). Threads would
 not help the helper's work: _decimal holds the GIL, and GIL handoffs
 between the payload's microsecond-sized numpy calls cost more than a second
-core gives. Each helper first leaves its caller's CPU (_leave): where the
-scheduler does not balance load, a new task stays on its creator's CPU, and
-the halves would take turns on one core. The caller's mask never changes;
-where its CPU cannot be read, or no other is allowed, nothing moves."""
+core gives. Each helper leaves its caller's CPU (_leave; a forked one is
+moved by the caller at once): where the scheduler does not balance load, a
+new task waits on its creator's CPU, and the halves take turns on one core.
+The caller's mask never changes; without its CPU or another, none moves."""
 
 import gc
 import os
 import threading
 import warnings
+from contextlib import suppress
 
 from .errors import VpaesError
 
@@ -43,15 +44,13 @@ def _cpu():
         return None
 
 
-def _leave(cpu):
-    """Move the calling thread (pid 0, on Linux) to the other CPUs of its
+def _leave(cpu, pid=0):
+    """Move pid (0: the calling thread, on Linux) to the other CPUs of its
     affinity mask, where cpu is known and the mask has others."""
-    others = cpu is not None and os.sched_getaffinity(0) - {cpu}
-    try:
+    with suppress(OSError):  # pid gone, or the mask shrank meanwhile: stay
+        others = cpu is not None and os.sched_getaffinity(pid) - {cpu}
         if others:
-            os.sched_setaffinity(0, others)
-    except OSError:  # the mask shrank meanwhile: stay
-        pass
+            os.sched_setaffinity(pid, others)
 
 
 def in_two_processes(mine, theirs):
@@ -78,6 +77,7 @@ def in_two_processes(mine, theirs):
                 os._exit(0)
             finally:
                 os._exit(1)
+        _leave(cpu, pid)  # before the helper first runs, on this CPU
         sink.close()  # the helper holds the only write end left
         try:
             result, head = mine(), pipe.read(8)

@@ -142,12 +142,12 @@ def decrypt_block(block, perm, round_keys):
 # with padded bit rows, 8,192 saved about 5% but doubled the working set.
 CHUNK_BLOCKS = 4096
 # Payloads of at least this many blocks are split between the caller and one
-# forked helper process on another CPU (_host). The helper costs 4-7 ms:
-# fork, its start, copy-on-write faults and its exit. Two processes against
-# one, encrypt and decrypt, medians of 61 alternated calls in a process
-# holding 40 MiB, three runs, 2-core x86-64: 1.41-1.50 at 8,192 blocks,
-# 0.99-1.43 at 12,288, 1.00-1.40 at 16,384, 0.73-1.18 at 24,576 and
-# 0.68-0.88 at 49,152 (512x512 colour).
+# forked helper process on another CPU (_host). The helper starts its half
+# about 3 ms into the call, and its copy-on-write faults and exit add more.
+# Two processes against one, encrypt and decrypt, medians of 61 alternated
+# calls in a process holding 40 MiB, three runs, 2-core x86-64: 0.95-1.55 at
+# 8,192 blocks, 0.86-1.23 at 12,288, 0.84-1.08 at 16,384, 0.67-1.15 at
+# 24,576 and 0.66-0.80 at 49,152 (512x512 colour).
 _SPLIT_BLOCKS = 16384
 # Bytes added to every bit row: a row stride that is a multiple of 4,096
 # bytes maps column j of every row to one cache set, which doubled the cost

@@ -78,9 +78,9 @@ _A, _B, _C3_24 = 13591409, 545140134, 640320 ** 3 // 24
 _LEAF_TERMS = 100  # most terms in one int leaf of the split
 _STR_DIGITS = 512  # _to_int's str pieces: under 640, the least int/str limit
 # Cold pi, two processes (the helper on another CPU) against one, medians of
-# 31 alternated calls, three runs: 1.28-1.32 at 600 terms, 1.01-1.17 at 1,000,
-# 0.86-1.01 at 1,500 and 0.84-0.92 at 2,100 (256x256); no other threshold won
-# 9 of 10. The left part, 48%, also computes r' and 2^p (fastest of 42-50).
+# 31 alternated calls, two runs: 1.07-1.08 at 600 terms, 0.93-1.03 at 1,000,
+# 0.85-0.92 at 1,500 and 0.80-0.88 at 2,100 (256x256): two break even near
+# 1,000. The left part, 48%, also computes r' and 2^p (fastest of 42-50).
 _SPLIT_TERMS, _LEFT_SHARE = 1000, 48
 
 

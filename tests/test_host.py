@@ -2,7 +2,8 @@
 through a pipe behind its length, and every way it can fail reaches the
 caller, with the helper reaped (the autouse forks fixture checks that).
 Each helper, forked or a thread of _host.in_parts, leaves its caller's CPU
-where another is allowed, and the caller's mask stays as it was."""
+where another is allowed (the caller moves a forked one before its own
+half), and the caller's mask stays as it was."""
 
 import os
 import threading
@@ -138,6 +139,20 @@ def test_forked_helper_leaves_the_callers_cpu(forks, seen):
     assert len(seen) == 1 and theirs.startswith(b"%r " % others)
     assert int(theirs.split()[-1]) in others
     assert os.sched_getaffinity(0) == mask
+
+
+@two_cpus
+def test_caller_moves_its_helper_before_its_own_half(forks, seen,
+                                                     monkeypatch):
+    # left to itself, a helper placed on the caller's CPU would wait there
+    # for a time slice before it could move; the move is the caller's first
+    moves, set_mask = [], os.sched_setaffinity
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: (
+        moves.append((pid, mask)), set_mask(pid, mask))[1])
+    before_mine, pid = _host.in_two_processes(
+        lambda: list(moves), lambda: b"%d" % os.getpid())
+    others = os.sched_getaffinity(0) - set(seen)
+    assert before_mine == moves == [(int(pid), others)]
 
 
 @two_cpus
